@@ -4,11 +4,10 @@ GO ?= go
 # lint pass, build, the full test suite under the race detector, one
 # iteration of every benchmark (so the benchmark-only files at the repo
 # root are compiled AND executed), the goroutine-leak check, the sweep
-# determinism check, the fault-injection determinism check, the PDES
-# worker-independence check, the lab artifact gate, and a smoke run of
-# every example binary.
+# determinism check, the fault-injection determinism check, the lab
+# artifact gate, and a smoke run of every example binary.
 .PHONY: ci
-ci: vet lint build race bench leak-check sweep-check fault-check pdes-check lab-check examples
+ci: vet lint build race bench leak-check sweep-check fault-check lab-check examples
 
 .PHONY: vet
 vet:
@@ -155,47 +154,12 @@ lab-baseline:
 	$(GO) run ./cmd/pushpull-lab run -workers 4 -out internal/lab/testdata/baseline-smoke.json smoke
 
 # bench-capture appends one wall-clock capture of the tracked
-# internal/sim microbenchmarks to the BENCH_sim.json series, then times
-# the PDES speedup probe (sequential vs 1/2/4 workers) into
-# BENCH_pdes.json (the lab's replacement for hand-editing those files
-# after a -bench run). Speedups > 1 need a multi-core box; single-core
-# CI captures legitimately record ~1.0 and stamp their gomaxprocs.
+# internal/sim microbenchmarks to the BENCH_sim.json series (the lab's
+# replacement for hand-editing that file after a -bench run).
 # Pass a context line: make bench-capture COMMENT="what changed".
 .PHONY: bench-capture
 bench-capture:
 	$(GO) run ./cmd/pushpull-lab gobench -comment "$(COMMENT)"
-
-# pdes-check pins the conservative-PDES contract: (1) the partition's
-# property and digest tests run under the race detector (the superstep
-# barrier and shard handoff are the raciest code in the repo), and
-# (2) every builtin scenario produces a byte-identical digest at 1 and
-# 4 workers through the CLI — at the specs' own seeds AND at an
-# override seed, because data-dependent patterns (wavefront) exercise
-# different cross-shard interleaves per seed. Note the comparison is
-# 1 vs 4 workers on
-# the partition, not partition vs sequential: sharded runs draw from
-# split per-shard RNG streams, so their digests legitimately differ
-# from the sequential engine's (which the pinned-digest capture covers).
-.PHONY: pdes-check
-pdes-check:
-	$(GO) test -race ./internal/sim -run 'TestPDES|TestPartition|TestPlanWindow' -count=1
-	$(GO) test -race ./internal/scenario -run 'TestPDES' -count=1
-	@scens=$$($(GO) run ./cmd/pushpull-scen list | awk '{print $$1}'); \
-	for seed in 0 7; do \
-		d1=$$($(GO) run ./cmd/pushpull-scen run -par 1 -seed $$seed $$scens 2>&1 >/dev/null | sed -n 's/.*digest //p') || exit 1; \
-		d4=$$($(GO) run ./cmd/pushpull-scen run -par 4 -seed $$seed $$scens 2>&1 >/dev/null | sed -n 's/.*digest //p') || exit 1; \
-		if [ -z "$$d1" ]; then \
-			echo "pdes-check FAILED: no digests captured from the builtin runs (seed $$seed)"; \
-			exit 1; \
-		fi; \
-		if [ "$$d1" != "$$d4" ]; then \
-			echo "pdes-check FAILED: worker count changed at least one builtin digest (seed $$seed)"; \
-			echo "--- 1 worker / +++ 4 workers:"; \
-			printf '%s\n' "$$d1" > /tmp/pdes-w1.$$$$; printf '%s\n' "$$d4" | diff /tmp/pdes-w1.$$$$ - | head -20; rm -f /tmp/pdes-w1.$$$$; \
-			exit 1; \
-		fi; \
-		echo "pdes-check OK: $$(printf '%s\n' "$$d1" | wc -l) builtin digests byte-identical at 1 and 4 workers (seed $$seed)"; \
-	done
 
 .PHONY: sweep-check
 sweep-check:

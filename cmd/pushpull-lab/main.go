@@ -11,7 +11,7 @@
 //	pushpull-lab list [-store DIR]
 //	pushpull-lab show [-body] <artifact.json>
 //	pushpull-lab compare [-tol metric=frac ...] <baseline.json> <candidate.json>
-//	pushpull-lab gobench [-file BENCH_sim.json] [-pdes-file BENCH_pdes.json] [-comment C]
+//	pushpull-lab gobench [-file BENCH_sim.json] [-comment C]
 //
 // "run" executes every job of the study on a worker pool and persists a
 // schema-versioned artifact. Everything in the artifact below the
@@ -30,11 +30,7 @@
 // "gobench" reruns the tracked internal/sim microbenchmarks via
 // testing.Benchmark and appends one entry to the BENCH_sim.json
 // append-only series — the capture path that replaces hand-editing the
-// perf history. It then times the conservative-PDES speedup probe
-// (sequential vs 1/2/4 workers on the permutation scenario) and appends
-// that to BENCH_pdes.json; meaningful speedups need a multi-core box
-// (gomaxprocs is recorded per entry). Wall-clock numbers never enter
-// study artifacts.
+// perf history. Wall-clock numbers never enter study artifacts.
 //
 // Exit codes: 0 success, 1 operational error (including refused
 // comparisons), 2 usage, 3 metric regression, 4 job digest change.
@@ -232,11 +228,10 @@ func compareCmd(args []string) {
 func gobenchCmd(args []string) {
 	fs := flag.NewFlagSet("gobench", flag.ExitOnError)
 	file := fs.String("file", "BENCH_sim.json", "series file to append the capture to")
-	pdesFile := fs.String("pdes-file", "BENCH_pdes.json", "series file for the PDES speedup capture (empty skips it)")
 	comment := fs.String("comment", "", "one-line context for this capture (what changed)")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: pushpull-lab gobench [-file F] [-pdes-file F] [-comment C]")
+		fmt.Fprintln(os.Stderr, "usage: pushpull-lab gobench [-file F] [-comment C]")
 		os.Exit(2)
 	}
 	fmt.Fprintln(os.Stderr, "pushpull-lab: running the tracked internal/sim microbenchmarks (wall clock — not part of any artifact)...")
@@ -255,26 +250,6 @@ func gobenchCmd(args []string) {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "pushpull-lab: appended capture to %s\n", *file)
-	if *pdesFile == "" {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "pushpull-lab: timing the PDES speedup probe (sequential vs 1/2/4 workers)...")
-	pe, err := lab.CapturePDESBench()
-	if err != nil {
-		fatal(err)
-	}
-	pe.CapturedAt = entry.CapturedAt
-	pe.Commit = entry.Commit
-	pe.Comment = *comment
-	for _, r := range pe.Runs {
-		fmt.Fprintf(os.Stderr, "  %s workers=%d %10.2f ms\n", pe.Scenario, r.Workers, r.WallMS)
-	}
-	fmt.Fprintf(os.Stderr, "  speedup w4/w1 %.2fx on %d core(s); supersteps %d, routed %d, lookahead util %.3f\n",
-		pe.SpeedupW4OverW1, pe.GoMaxProcs, pe.Supersteps, pe.RoutedEvents, pe.LookaheadUtilization)
-	if err := lab.AppendPDESBenchSeries(*pdesFile, pe); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "pushpull-lab: appended capture to %s\n", *pdesFile)
 }
 
 // resolveStudy maps a study argument to a Study: builtin name first,

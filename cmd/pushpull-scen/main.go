@@ -97,7 +97,6 @@ func runCmd(args []string) {
 	size := fs.Int("size", 0, "override the message size in bytes (0 keeps the spec's)")
 	algorithm := fs.String("algorithm", "", "override the collective algorithm (collective patterns only; empty keeps the spec's)")
 	faults := fs.String("faults", "", "overlay a JSON fault plan file onto every scenario (replaces the spec's own)")
-	par := fs.Int("par", 0, "parallel PDES workers inside each run (0 = sequential engine); the digest is identical for any count")
 	samples := fs.Bool("samples", false, "include raw per-message latency samples in the output")
 	out := fs.String("out", "", "write results to this file instead of stdout")
 	fs.Parse(args)
@@ -137,9 +136,6 @@ func runCmd(args []string) {
 		}
 		if plan != nil {
 			spec.Faults = plan
-		}
-		if *par > 0 {
-			spec.ParallelWorkers = *par
 		}
 		var opts []scenario.RunOption
 		if *samples {
@@ -299,9 +295,6 @@ run flags:
   -size N       override message size
   -algorithm A  override the collective algorithm (collective patterns only)
   -faults FILE  overlay a JSON fault plan (link/node fault schedule) on every run
-  -par N        conservative-PDES workers inside each run (0 = sequential
-                engine); any N produces a byte-identical digest — make
-                pdes-check pins 1 vs 4 on every builtin
   -samples      include raw latency samples in the JSON
   -out FILE     write the JSON array to FILE
 

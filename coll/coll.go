@@ -19,9 +19,9 @@ type World struct {
 	// node's first nonblocking collective): they advance outstanding
 	// Requests' rounds as their operations complete, so collectives make
 	// progress while rank threads compute, without Test polling. The
-	// state is per node — tasklet, outstanding list, completion conds —
-	// so under a partitioned cluster every rank's progression runs
-	// entirely on its own shard.
+	// state is per node — tasklet, outstanding list, completion conds.
+	// One tasklet per node fixes the order in which progression events
+	// are scheduled, and the pinned digests record that order.
 	progs []*nodeProgressor
 }
 

@@ -136,9 +136,9 @@ func (r *Rank) progressed(rq *Request) *Request {
 		return rq // completed at start (e.g. single-rank world): nothing to drive
 	}
 	rq.progressed = true
-	// The completion cond lives on the rank's node engine: Broadcast runs
-	// from the node's progression tasklet and Wait parks the rank's own
-	// thread, so the whole handshake is shard-local.
+	// The completion cond lives on the rank's node: Broadcast runs from
+	// the node's progression tasklet and Wait parks the rank's own
+	// thread.
 	rq.doneC = sim.NewNamedCond(r.w.c.Nodes[r.cm.ID().Node].Engine, fmt.Sprintf("coll-done/r%d.t%d", r.id, rq.tag))
 	r.w.enqueueProgress(rq)
 	return rq

@@ -53,15 +53,6 @@ type Config struct {
 	// (or the hub), port blackouts on the switch, pause/stall windows on
 	// the NICs. Nil costs nothing anywhere.
 	FaultPlan *fault.Plan
-	// ParallelWorkers > 0 requests conservative PDES execution: the
-	// simulation is partitioned into one engine per node (plus one for
-	// the switch) and driven in lookahead-bounded supersteps by up to
-	// this many worker goroutines. Results are byte-identical for every
-	// value — 1, 4, or more workers than shards — because the partition's
-	// merge rule is deterministic; only wall-clock changes. Topologies
-	// without a positive cross-shard latency floor (hubs, single-node
-	// clusters) fall back to the sequential engine.
-	ParallelWorkers int
 }
 
 // DefaultConfig is the paper's two-node testbed.
@@ -82,22 +73,16 @@ func DefaultConfig() Config {
 
 // Cluster is a built simulation: engine, nodes, stacks, endpoints.
 type Cluster struct {
-	// Engine is the root engine. Sequentially built clusters run
-	// everything on it; a partitioned cluster (Partition != nil) homes
-	// each node on its own shard engine (Nodes[i].Engine) and keeps the
-	// root for orchestration-only state. Drive runs through the Cluster
-	// methods (Run/RunWithin/RunUntil/Now/Pending/Shutdown), which
-	// dispatch to whichever execution mode was built.
+	// Engine runs every node, NIC and medium of the cluster. Drive runs
+	// through the Cluster methods (Run/RunWithin/RunUntil/Now/Pending/
+	// Shutdown).
 	Engine *sim.Engine
-	// Partition is the conservative-PDES partition driving this cluster,
-	// nil for sequential execution.
-	Partition *sim.Partition
-	Nodes     []*smp.Node
-	Stacks    []*pushpull.Stack
-	NICs      []*nic.NIC
-	Switch    *ether.Switch
-	Hub       *ether.Hub
-	Links     []*ether.Link // back-to-back links, rail-major (empty otherwise)
+	Nodes  []*smp.Node
+	Stacks []*pushpull.Stack
+	NICs   []*nic.NIC
+	Switch *ether.Switch
+	Hub    *ether.Hub
+	Links  []*ether.Link // back-to-back links, rail-major (empty otherwise)
 	// SwitchLinks are the per-node access links of a switch topology, in
 	// node order (empty otherwise).
 	SwitchLinks []*ether.Link
@@ -152,33 +137,11 @@ func New(cfg Config) *Cluster {
 	}
 	cfg = cfg.normalize()
 
-	// PDES eligibility: a partition needs at least two node shards and a
-	// positive cross-shard latency floor. Hubs share one medium (no
-	// per-node confinement) and single-node clusters have nothing to
-	// shard, so both fall back to the sequential engine — as does a
-	// zero-propagation network, which admits no conservative window.
-	var part *sim.Partition
-	if cfg.ParallelWorkers > 0 && cfg.Nodes >= 2 && !cfg.UseHub && cfg.Net.Propagation > 0 {
-		shards := cfg.Nodes
-		if cfg.UseSwitch {
-			shards++ // the switch's forwarding plane is its own shard
-		}
-		part = sim.NewPartition(cfg.Seed, shards, cfg.ParallelWorkers, cfg.Net.Propagation)
-	}
 	e := sim.NewEngine(cfg.Seed)
-	if part != nil {
-		e = part.Root()
-	}
-	c := &Cluster{Engine: e, Partition: part}
-	nodeEngine := func(i int) *sim.Engine {
-		if part != nil {
-			return part.Shard(i)
-		}
-		return e
-	}
+	c := &Cluster{Engine: e}
 
 	for i := 0; i < cfg.Nodes; i++ {
-		n := smp.NewNode(nodeEngine(i), i, cfg.SMP)
+		n := smp.NewNode(e, i, cfg.SMP)
 		n.IRQ.SetPolicy(cfg.Policy, cfg.PolicyTarget)
 		st := pushpull.NewStack(n, cfg.Opts)
 		for p := 0; p < cfg.ProcsPerNode; p++ {
@@ -232,42 +195,22 @@ func New(cfg Config) *Cluster {
 	case !cfg.UseSwitch && cfg.Nodes == 2:
 		for r := 0; r < rails; r++ {
 			a, b := c.NICs[r], c.NICs[rails+r]
-			link := ether.NewLinkOn(nodeEngine(a.NodeID()), nodeEngine(b.NodeID()), cfg.Net, a, b)
+			link := ether.NewLink(e, cfg.Net, a, b)
 			if c.Faults != nil {
-				if part != nil {
-					// The two directions run on different shards: give each
-					// its own injector with privately cloned burst chains
-					// (salted by rail and direction, so every stream in the
-					// run is distinct and deterministic).
-					link.SetInjectorDirs(
-						c.Faults.LinkInjectorDir(uint64(r)*2, a.NodeID(), b.NodeID()),
-						c.Faults.LinkInjectorDir(uint64(r)*2+1, a.NodeID(), b.NodeID()))
-				} else {
-					link.SetInjector(c.Faults.LinkInjector(a.NodeID(), b.NodeID()))
-				}
+				link.SetInjector(c.Faults.LinkInjector(a.NodeID(), b.NodeID()))
 			}
 			a.AttachLink(link)
 			b.AttachLink(link)
 			c.Links = append(c.Links, link)
 		}
 	default:
-		se := e
-		if part != nil {
-			se = part.Shard(cfg.Nodes)
-		}
-		c.Switch = ether.NewSwitch(se, cfg.Net, cfg.SwitchForward)
+		c.Switch = ether.NewSwitch(e, cfg.Net, cfg.SwitchForward)
 		for _, nc := range c.NICs {
-			link := c.Switch.AttachOn(nc, nodeEngine(nc.NodeID()), cfg.SwitchQueueFrames)
+			link := c.Switch.Attach(nc, cfg.SwitchQueueFrames)
 			nc.AttachLink(link)
 			c.SwitchLinks = append(c.SwitchLinks, link)
 			if c.Faults != nil {
-				if part != nil {
-					link.SetInjectorDirs(
-						c.Faults.LinkInjectorDir(uint64(nc.NodeID())*2, nc.NodeID()),
-						c.Faults.LinkInjectorDir(uint64(nc.NodeID())*2+1, nc.NodeID()))
-				} else {
-					link.SetInjector(c.Faults.LinkInjector(nc.NodeID()))
-				}
+				link.SetInjector(c.Faults.LinkInjector(nc.NodeID()))
 				c.Switch.SetPortInjector(nc.NodeID(), c.Faults.PortInjector(nc.NodeID()))
 			}
 		}
@@ -281,17 +224,6 @@ func New(cfg Config) *Cluster {
 		}
 	}
 
-	if part != nil {
-		// Topology-lookahead hook: the partition's conservative window is
-		// the minimum latency floor of the links actually built, asked of
-		// the ether layer itself rather than assumed from the config.
-		links := make([]*ether.Link, 0, len(c.Links)+len(c.SwitchLinks))
-		links = append(links, c.Links...)
-		links = append(links, c.SwitchLinks...)
-		if la := ether.MinLookahead(links...); la > 0 {
-			part.SetLookahead(la)
-		}
-	}
 	return c
 }
 
@@ -320,58 +252,20 @@ func (c *Cluster) Spawn(node, cpu int, name string, body func(t *smp.Thread)) {
 
 // Run drives the simulation to completion and returns the final virtual
 // time.
-func (c *Cluster) Run() sim.Time {
-	if c.Partition != nil {
-		return c.Partition.Run()
-	}
-	return c.Engine.Run()
-}
+func (c *Cluster) Run() sim.Time { return c.Engine.Run() }
 
 // RunUntil executes events with timestamps <= limit and returns the
-// virtual clock (the last executed event anywhere in the cluster).
-func (c *Cluster) RunUntil(limit sim.Time) sim.Time {
-	if c.Partition != nil {
-		return c.Partition.RunUntil(limit)
-	}
-	return c.Engine.RunUntil(limit)
-}
+// virtual clock.
+func (c *Cluster) RunUntil(limit sim.Time) sim.Time { return c.Engine.RunUntil(limit) }
 
-// Now reports the cluster's virtual time: the root engine's clock, or
-// the partition-wide maximum under PDES.
-func (c *Cluster) Now() sim.Time {
-	if c.Partition != nil {
-		return c.Partition.Now()
-	}
-	return c.Engine.Now()
-}
+// Now reports the cluster's virtual time.
+func (c *Cluster) Now() sim.Time { return c.Engine.Now() }
 
-// Pending reports queued events across the whole cluster — exact in
-// both execution modes (the partition sums its shards and in-flight
-// cross-shard routes).
-func (c *Cluster) Pending() int {
-	if c.Partition != nil {
-		return c.Partition.Pending()
-	}
-	return c.Engine.Pending()
-}
+// Pending reports the events queued across the whole cluster.
+func (c *Cluster) Pending() int { return c.Engine.Pending() }
 
-// Executed reports events run across the whole cluster — exact in both
-// execution modes.
-func (c *Cluster) Executed() uint64 {
-	if c.Partition != nil {
-		return c.Partition.Executed()
-	}
-	return c.Engine.Executed()
-}
-
-// PDESStats reports the partition's superstep counters; ok is false for
-// a sequentially built cluster.
-func (c *Cluster) PDESStats() (sim.PartitionStats, bool) {
-	if c.Partition == nil {
-		return sim.PartitionStats{}, false
-	}
-	return c.Partition.Stats(), true
-}
+// Executed reports the events run across the whole cluster.
+func (c *Cluster) Executed() uint64 { return c.Engine.Executed() }
 
 // ErrBudget marks a run that exhausted its virtual-time budget with
 // events still pending — the signature of a protocol deadlock or
@@ -395,37 +289,16 @@ func (c *Cluster) RunWithin(budget sim.Duration) (sim.Time, error) {
 
 // Shutdown tears the simulation down once a run is over, unwinding every
 // still-parked process goroutine (rank threads at budget exhaustion, IRQ
-// handlers mid-copy) so a finished cluster holds no goroutines. Under
-// PDES it also stops the partition's worker pool. The cluster is
-// unusable afterwards; call it last, and not at all if the engine will
-// run again.
-func (c *Cluster) Shutdown() {
-	if c.Partition != nil {
-		c.Partition.Shutdown()
-		return
-	}
-	c.Engine.Shutdown()
-}
+// handlers mid-copy) so a finished cluster holds no goroutines. The
+// cluster is unusable afterwards; call it last, and not at all if the
+// engine will run again.
+func (c *Cluster) Shutdown() { c.Engine.Shutdown() }
 
 // SetRecorder attaches one structured trace recorder to every stack (and
-// through them every NIC and go-back-N session) in the cluster. A
-// partitioned cluster must use SetNodeRecorders instead: one recorder
-// shared across shards would race.
+// through them every NIC and go-back-N session) in the cluster.
 func (c *Cluster) SetRecorder(rec *trace.Recorder) {
 	for _, st := range c.Stacks {
 		st.SetRecorder(rec)
-	}
-}
-
-// SetNodeRecorders attaches recs[i] to node i's stack — the per-shard
-// recorder layout partitioned runs need (each recorder is only ever
-// touched by its node's engine). len(recs) must equal the node count.
-func (c *Cluster) SetNodeRecorders(recs []*trace.Recorder) {
-	if len(recs) != len(c.Stacks) {
-		panic(fmt.Sprintf("cluster: %d recorders for %d nodes", len(recs), len(c.Stacks)))
-	}
-	for i, st := range c.Stacks {
-		st.SetRecorder(recs[i])
 	}
 }
 

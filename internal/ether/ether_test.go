@@ -20,6 +20,37 @@ func (c *collector) DeliverFrame(f Frame) {
 	c.times = append(c.times, c.e.Now())
 }
 
+// sender transmits its frames in order from one port of a Medium, from
+// a tasklet, the way NICs and switch ports drive their media.
+type sender struct {
+	m      Medium
+	from   Port
+	frames []Frame
+	cur    TxCursor
+}
+
+func (s *sender) step(tk *sim.Tasklet) {
+	for len(s.frames) > 0 && s.m.TransmitStep(tk, &s.cur, s.from, s.frames[0]) {
+		s.cur = TxCursor{}
+		s.frames = s.frames[1:]
+	}
+}
+
+// send starts a tasklet that transmits frames on m from port from.
+func send(e *sim.Engine, m Medium, from Port, frames ...Frame) {
+	s := &sender{m: m, from: from, frames: frames}
+	e.NewTasklet("tx", s.step).Start()
+}
+
+// repeat returns n copies of f.
+func repeat(f Frame, n int) []Frame {
+	fs := make([]Frame, n)
+	for i := range fs {
+		fs[i] = f
+	}
+	return fs
+}
+
 func TestWireTime(t *testing.T) {
 	cfg := FastEthernet()
 	// 1500-byte payload: (1500+30)*8 bits at 100 Mb/s = 122.4 µs
@@ -46,9 +77,7 @@ func TestLinkDelivers(t *testing.T) {
 	a := &collector{id: 0, e: e}
 	b := &collector{id: 1, e: e}
 	l := NewLink(e, cfg, a, b)
-	e.Go("tx", func(p *sim.Process) {
-		l.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 100, Payload: "hello"})
-	})
+	send(e, l, a, Frame{Src: 0, Dst: 1, PayloadBytes: 100, Payload: "hello"})
 	e.Run()
 	if len(b.frames) != 1 || b.frames[0].Payload != "hello" {
 		t.Fatalf("b received %v", b.frames)
@@ -69,9 +98,7 @@ func TestLinkSerializesOneDirection(t *testing.T) {
 	b := &collector{id: 1, e: e}
 	l := NewLink(e, cfg, a, b)
 	for i := 0; i < 2; i++ {
-		e.Go("tx", func(p *sim.Process) {
-			l.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 1500})
-		})
+		send(e, l, a, Frame{Src: 0, Dst: 1, PayloadBytes: 1500})
 	}
 	e.Run()
 	if len(b.times) != 2 {
@@ -89,12 +116,8 @@ func TestLinkFullDuplex(t *testing.T) {
 	a := &collector{id: 0, e: e}
 	b := &collector{id: 1, e: e}
 	l := NewLink(e, cfg, a, b)
-	e.Go("txA", func(p *sim.Process) {
-		l.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 1500})
-	})
-	e.Go("txB", func(p *sim.Process) {
-		l.Transmit(p, b, Frame{Src: 1, Dst: 0, PayloadBytes: 1500})
-	})
+	send(e, l, a, Frame{Src: 0, Dst: 1, PayloadBytes: 1500})
+	send(e, l, b, Frame{Src: 1, Dst: 0, PayloadBytes: 1500})
 	e.Run()
 	// Opposite directions must not serialize against each other.
 	want := sim.Time(cfg.WireTime(1500) + sim.Duration(cfg.Propagation))
@@ -109,14 +132,12 @@ func TestLinkForeignPortPanics(t *testing.T) {
 	b := &collector{id: 1, e: e}
 	c := &collector{id: 2, e: e}
 	l := NewLink(e, FastEthernet(), a, b)
-	e.Go("bad", func(p *sim.Process) {
-		defer func() {
-			if recover() == nil {
-				t.Error("transmit from foreign port did not panic")
-			}
-		}()
-		l.Transmit(p, c, Frame{Src: 2, Dst: 1, PayloadBytes: 10})
-	})
+	send(e, l, c, Frame{Src: 2, Dst: 1, PayloadBytes: 10})
+	defer func() {
+		if recover() == nil {
+			t.Error("transmit from foreign port did not panic")
+		}
+	}()
 	e.Run()
 }
 
@@ -128,9 +149,7 @@ func TestSwitchForwards(t *testing.T) {
 	b := &collector{id: 1, e: e}
 	la := sw.Attach(a, 0)
 	sw.Attach(b, 0)
-	e.Go("tx", func(p *sim.Process) {
-		la.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 200, Payload: 42})
-	})
+	send(e, la, a, Frame{Src: 0, Dst: 1, PayloadBytes: 200, Payload: 42})
 	e.Run()
 	if len(b.frames) != 1 || b.frames[0].Payload != 42 {
 		t.Fatalf("switch did not forward: %v", b.frames)
@@ -147,9 +166,7 @@ func TestSwitchUnknownDestinationDropped(t *testing.T) {
 	sw := NewSwitch(e, FastEthernet(), 0)
 	a := &collector{id: 0, e: e}
 	la := sw.Attach(a, 0)
-	e.Go("tx", func(p *sim.Process) {
-		la.Transmit(p, a, Frame{Src: 0, Dst: 99, PayloadBytes: 64})
-	})
+	send(e, la, a, Frame{Src: 0, Dst: 99, PayloadBytes: 64})
 	e.Run()
 	if sw.Dropped() != 1 {
 		t.Errorf("dropped = %d, want 1", sw.Dropped())
@@ -169,12 +186,8 @@ func TestSwitchOutputQueueOverflow(t *testing.T) {
 	// Two senders blast frames at b simultaneously; with a 1-frame output
 	// queue some must drop.
 	for i := 0; i < 4; i++ {
-		e.Go("txA", func(p *sim.Process) {
-			la.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 1500})
-		})
-		e.Go("txC", func(p *sim.Process) {
-			lc.Transmit(p, c, Frame{Src: 2, Dst: 1, PayloadBytes: 1500})
-		})
+		send(e, la, a, Frame{Src: 0, Dst: 1, PayloadBytes: 1500})
+		send(e, lc, c, Frame{Src: 2, Dst: 1, PayloadBytes: 1500})
 	}
 	e.Run()
 	if sw.Dropped() == 0 {
@@ -183,4 +196,15 @@ func TestSwitchOutputQueueOverflow(t *testing.T) {
 	if len(b.frames)+int(sw.Dropped()) != 8 {
 		t.Errorf("delivered %d + dropped %d != sent 8", len(b.frames), sw.Dropped())
 	}
+}
+
+func TestSwitchAttachOnForeignEnginePanics(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, FastEthernet(), 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("AttachOn with a foreign engine did not panic")
+		}
+	}()
+	sw.AttachOn(&collector{id: 0, e: e}, sim.NewEngine(1), 0)
 }

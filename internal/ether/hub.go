@@ -83,28 +83,10 @@ func (h *Hub) SetInjector(in *fault.HubInjector) { h.inj = in }
 // FaultLost reports frames dropped by the armed fault injector.
 func (h *Hub) FaultLost() uint64 { return h.faultLost }
 
-// Transmit implements Medium: defer while the wire is busy (carrier
+// TransmitStep implements Medium: defer while the wire is busy (carrier
 // sense), pay a jam-plus-backoff penalty if there was contention, then
 // hold the one shared wire for the serialization time and deliver to the
 // destination station.
-func (h *Hub) Transmit(p *sim.Process, from Port, f Frame) {
-	contended := h.medium.Held()
-	h.medium.Acquire(p)
-	if contended {
-		h.collisions++
-		// Jam slot plus a random backoff slot: the losers of the race
-		// for the idle instant retry within the contention window.
-		p.Sleep(h.slot + h.e.Rand().Duration(h.slot))
-	}
-	p.Sleep(h.cfg.WireTime(f.PayloadBytes))
-	h.medium.Release()
-	h.finish(f)
-}
-
-// TransmitStep implements Medium for tasklet transmitters. The carrier
-// sense, contention penalty, backoff RNG draw and serialization happen at
-// the same instants — and consume the same RNG and scheduling slots — as
-// the process-tier Transmit.
 func (h *Hub) TransmitStep(tk *sim.Tasklet, cur *TxCursor, from Port, f Frame) bool {
 	switch cur.pc {
 	case txAcquire, txReacquire:

@@ -24,9 +24,7 @@ func TestHubDeliversToDestination(t *testing.T) {
 	h.Attach(b)
 	h.Attach(c)
 
-	e.Go("tx", func(p *sim.Process) {
-		h.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 100})
-	})
+	send(e, h, a, Frame{Src: 0, Dst: 1, PayloadBytes: 100})
 	e.Run()
 
 	if len(b.frames) != 1 || len(c.frames) != 0 || len(a.frames) != 0 {
@@ -42,9 +40,7 @@ func TestHubUnknownDestinationIgnored(t *testing.T) {
 	h := NewHub(e, FastEthernet())
 	a := &sink{id: 0}
 	h.Attach(a)
-	e.Go("tx", func(p *sim.Process) {
-		h.Transmit(p, a, Frame{Src: 0, Dst: 99, PayloadBytes: 64})
-	})
+	send(e, h, a, Frame{Src: 0, Dst: 99, PayloadBytes: 64})
 	e.Run() // must not panic
 	if h.FramesSent() != 1 {
 		t.Errorf("FramesSent = %d, want 1 (repeated even if unclaimed)", h.FramesSent())
@@ -93,16 +89,8 @@ func TestHubHalfDuplexSerializesAndCollides(t *testing.T) {
 		} else {
 			medium = NewLink(e, cfg, a, b)
 		}
-		e.Go("a->b", func(p *sim.Process) {
-			for i := 0; i < frames; i++ {
-				medium.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: payload})
-			}
-		})
-		e.Go("b->a", func(p *sim.Process) {
-			for i := 0; i < frames; i++ {
-				medium.Transmit(p, b, Frame{Src: 1, Dst: 0, PayloadBytes: payload})
-			}
-		})
+		send(e, medium, a, repeat(Frame{Src: 0, Dst: 1, PayloadBytes: payload}, frames)...)
+		send(e, medium, b, repeat(Frame{Src: 1, Dst: 0, PayloadBytes: payload}, frames)...)
 		end := e.Run()
 		var coll uint64
 		if h != nil {
@@ -147,9 +135,7 @@ func TestHubConservationProperty(t *testing.T) {
 			if i%2 == 1 {
 				src, dst, from = 1, 0, b
 			}
-			fr := Frame{Src: src, Dst: dst, PayloadBytes: n}
-			p := from
-			e.Go("tx", func(proc *sim.Process) { h.Transmit(proc, p, fr) })
+			send(e, h, from, Frame{Src: src, Dst: dst, PayloadBytes: n})
 		}
 		e.Run()
 		delivered := uint64(len(a.frames) + len(b.frames))
@@ -169,11 +155,7 @@ func TestLinkLossRateDropsDeterministically(t *testing.T) {
 		e := sim.NewEngine(seed)
 		a, b := &sink{id: 0}, &sink{id: 1}
 		l := NewLink(e, cfg, a, b)
-		e.Go("tx", func(p *sim.Process) {
-			for i := 0; i < frames; i++ {
-				l.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 200})
-			}
-		})
+		send(e, l, a, repeat(Frame{Src: 0, Dst: 1, PayloadBytes: 200}, frames)...)
 		e.Run()
 		return l.FramesLost(), len(b.frames)
 	}
@@ -200,11 +182,7 @@ func TestZeroLossRateLosesNothing(t *testing.T) {
 	e := sim.NewEngine(1)
 	a, b := &sink{id: 0}, &sink{id: 1}
 	l := NewLink(e, FastEthernet(), a, b)
-	e.Go("tx", func(p *sim.Process) {
-		for i := 0; i < 500; i++ {
-			l.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 64})
-		}
-	})
+	send(e, l, a, repeat(Frame{Src: 0, Dst: 1, PayloadBytes: 64}, 500)...)
 	e.Run()
 	if l.FramesLost() != 0 || len(b.frames) != 500 {
 		t.Errorf("lossless link lost %d, delivered %d", l.FramesLost(), len(b.frames))

@@ -117,14 +117,16 @@ func (s *Switch) Attach(nodePort Port, outQueue int) *Link {
 	return s.AttachOn(nodePort, s.e, outQueue)
 }
 
-// AttachOn is Attach for partitioned runs: the node side of the access
-// link lives on nodeEngine while the switch side (output queue, pump,
-// forwarding plane) stays on the switch's own engine. With nodeEngine
-// == s.e it is exactly Attach.
+// AttachOn is Attach with the node's engine named explicitly. A switch
+// and every node attached to it run on one engine, so nodeEngine must
+// be the switch's own; any other engine panics.
 func (s *Switch) AttachOn(nodePort Port, nodeEngine *sim.Engine, outQueue int) *Link {
+	if nodeEngine != s.e {
+		panic(fmt.Sprintf("ether: node %d attached to a switch on a different engine", nodePort.NodeID()))
+	}
 	sp := &switchPort{sw: s, nodeID: nodePort.NodeID(), outQ: sim.NewQueue[Frame](s.e, outQueue)}
 	sp.outQ.SetName(fmt.Sprintf("switch-outq/%d", nodePort.NodeID()))
-	link := NewLinkOn(nodeEngine, s.e, s.cfg, nodePort, sp)
+	link := NewLink(s.e, s.cfg, nodePort, sp)
 	sp.link = link
 	s.ports[nodePort.NodeID()] = sp
 	// Per-port transmitter pump: drains the output queue onto the node's

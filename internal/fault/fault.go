@@ -16,11 +16,11 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
 	"pushpull/internal/sim"
+	"pushpull/internal/strictjson"
 )
 
 // Kind names a fault event type.
@@ -82,10 +82,11 @@ type Plan struct {
 	Events []Event `json:"events"`
 }
 
-// ParsePlan decodes a JSON fault plan, rejecting unknown fields.
+// ParsePlan decodes a JSON fault plan, rejecting unknown fields and
+// trailing data.
 func ParsePlan(data []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := strictjson.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("fault: parse plan: %w", err)
 	}
 	return &p, nil
@@ -220,34 +221,11 @@ func msToTime(ms float64) sim.Time {
 type geChain struct {
 	win     window
 	rng     *sim.Rand
-	seed    uint64 // the stream's seed, kept for per-direction clones
 	pEnter  float64
 	pExit   float64
 	loss    float64
 	inBurst bool
 	losses  uint64
-}
-
-// cloneFor returns a private copy of the chain at its initial state
-// whose stream is derived from the original's seed and salt — the
-// per-direction split partitioned runs need, since a chain advances per
-// consulted frame and two link directions executing on different shards
-// must not share one.
-func (g *geChain) cloneFor(salt uint64) *geChain {
-	z := g.seed ^ (salt+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return &geChain{
-		win:    g.win,
-		rng:    sim.NewRand(z),
-		seed:   z,
-		pEnter: g.pEnter,
-		pExit:  g.pExit,
-		loss:   g.loss,
-	}
 }
 
 func (g *geChain) lose(now sim.Time) bool {
@@ -302,11 +280,6 @@ type Set struct {
 	ports map[int]windows
 	nics  map[int]*nicState
 
-	// cloneBursts registers the per-direction chain clones handed out by
-	// LinkInjectorDir, per node, so BurstLosses stays exact when a
-	// partitioned run splits a link's directions across shards.
-	cloneBursts map[int][]*geChain
-
 	lastEnd sim.Time
 }
 
@@ -323,10 +296,9 @@ func Compile(p *Plan, seed uint64) (*Set, error) {
 		return nil, err
 	}
 	s := &Set{
-		links:       make(map[int]*linkState),
-		ports:       make(map[int]windows),
-		nics:        make(map[int]*nicState),
-		cloneBursts: make(map[int][]*geChain),
+		links: make(map[int]*linkState),
+		ports: make(map[int]windows),
+		nics:  make(map[int]*nicState),
 	}
 	link := func(node int) *linkState {
 		st := s.links[node]
@@ -384,7 +356,6 @@ func Compile(p *Plan, seed uint64) (*Set, error) {
 				pEnter: ev.PEnterBurst,
 				pExit:  ev.PExitBurst,
 				loss:   ev.BurstLoss,
-				seed:   evSeed,
 			})
 		case KindPortBlackout:
 			s.ports[ev.Node] = append(s.ports[ev.Node], window{from, to})
@@ -435,39 +406,6 @@ func (s *Set) LinkInjector(nodes ...int) *LinkInjector {
 		if st := s.links[n]; st != nil {
 			sts = append(sts, st)
 		}
-	}
-	if len(sts) == 0 {
-		return nil
-	}
-	return &LinkInjector{states: sts}
-}
-
-// LinkInjectorDir is LinkInjector for one direction of a link in a
-// partitioned run. Stateless fault state (down windows) is shared with
-// every other consumer, but each stateful Gilbert–Elliott chain is
-// replaced by a private clone whose stream is derived from the chain's
-// seed and salt — so the two directions, executing on different shards,
-// advance independent deterministic chains instead of racing on one.
-// Salt must be unique per (link, direction) within the run; the clones
-// are registered so BurstLosses stays exact.
-func (s *Set) LinkInjectorDir(salt uint64, nodes ...int) *LinkInjector {
-	var sts []*linkState
-	for _, n := range nodes {
-		st := s.links[n]
-		if st == nil {
-			continue
-		}
-		if len(st.bursts) == 0 {
-			sts = append(sts, st) // immutable windows only: share
-			continue
-		}
-		c := &linkState{down: st.down}
-		for _, g := range st.bursts {
-			cg := g.cloneFor(salt)
-			c.bursts = append(c.bursts, cg)
-			s.cloneBursts[n] = append(s.cloneBursts[n], cg)
-		}
-		sts = append(sts, c)
 	}
 	if len(sts) == 0 {
 		return nil
@@ -565,18 +503,13 @@ func (s *Set) Downtime(node int, end sim.Time) sim.Duration {
 }
 
 // BurstLosses reports frames the node's Gilbert–Elliott chains have lost
-// so far — the original chains plus any per-direction clones handed out
-// by LinkInjectorDir (a run consults one family or the other, never
-// both, so the sum double-counts nothing).
+// so far.
 func (s *Set) BurstLosses(node int) uint64 {
 	var n uint64
 	if st := s.links[node]; st != nil {
 		for _, g := range st.bursts {
 			n += g.losses
 		}
-	}
-	for _, g := range s.cloneBursts[node] {
-		n += g.losses
 	}
 	return n
 }

@@ -57,6 +57,26 @@ func TestParsePlanRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParsePlanStrict: a field the plan does not declare, at any depth,
+// or data after the plan is an error that names the problem.
+func TestParsePlanStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"unknown field", `{"events":[],"bogus":1}`, `"bogus"`},
+		{"stale parallelWorkers", `{"events":[],"parallelWorkers":2}`, `"parallelWorkers"`},
+		{"unknown event field", `{"events":[{"kind":"link-down","node":1,"atMS":1,"forMS":2}]}`, `"forMS"`},
+		{"trailing data", `{"events":[]} {"events":[]}`, "trailing data"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParsePlan([]byte(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParsePlan(%s) = %v, want error containing %s", tc.in, err, tc.want)
+			}
+		})
+	}
+}
+
 func TestCompileNilPlan(t *testing.T) {
 	s, err := Compile(nil, 1)
 	if err != nil {

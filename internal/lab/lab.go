@@ -23,6 +23,7 @@ import (
 
 	"pushpull/internal/bench"
 	"pushpull/internal/scenario"
+	"pushpull/internal/strictjson"
 )
 
 // Study is one named, replayable composition of jobs. Like a scenario
@@ -59,11 +60,6 @@ type Job struct {
 	Messages  int    `json:"messages,omitempty"`
 	Size      int    `json:"size,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"`
-	// ParallelWorkers runs the scenario on the conservative-PDES
-	// partition with that many workers (see Spec.ParallelWorkers).
-	// Digest-neutral across worker counts by construction, so it only
-	// changes wall-clock — and the PDES metrics the job reports.
-	ParallelWorkers int `json:"parallelWorkers,omitempty"`
 
 	// Bench jobs: timed iterations per point (default 100).
 	Iters int `json:"iters,omitempty"`
@@ -102,10 +98,11 @@ func (st Study) JSON() []byte {
 	return out
 }
 
-// ParseStudy decodes and validates a study file.
+// ParseStudy decodes and validates a study file. Unknown fields and
+// trailing data are errors.
 func ParseStudy(data []byte) (Study, error) {
 	var st Study
-	if err := json.Unmarshal(data, &st); err != nil {
+	if err := strictjson.Unmarshal(data, &st); err != nil {
 		return Study{}, fmt.Errorf("lab: parsing study: %w", err)
 	}
 	if err := st.Validate(); err != nil {
@@ -152,9 +149,6 @@ func (st Study) Validate() error {
 		if j.Workers < 0 {
 			return fmt.Errorf("%s: workers %d is negative", where, j.Workers)
 		}
-		if j.ParallelWorkers < 0 {
-			return fmt.Errorf("%s: parallelWorkers %d is negative", where, j.ParallelWorkers)
-		}
 		if len(j.Seeds) > 0 && (j.Repetitions > 1 || j.Seed != 0) {
 			return fmt.Errorf("%s: seeds and repetitions/seed are mutually exclusive (seeds already lists every run)", where)
 		}
@@ -177,7 +171,6 @@ func (st Study) Validate() error {
 				{"messages", j.Messages != 0},
 				{"size", j.Size != 0},
 				{"algorithm", j.Algorithm != ""},
-				{"parallelWorkers", j.ParallelWorkers != 0},
 				{"iters", j.Iters != 0},
 			} {
 				if f.set {
@@ -198,7 +191,6 @@ func (st Study) Validate() error {
 				{"messages", j.Messages != 0},
 				{"size", j.Size != 0},
 				{"algorithm", j.Algorithm != ""},
-				{"parallelWorkers", j.ParallelWorkers != 0},
 			} {
 				if f.set {
 					return fmt.Errorf("%s: %s applies to scenario jobs only", where, f.name)

@@ -143,6 +143,27 @@ func TestParseStudyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseStudyStrict: unknown study or job fields, and data after the
+// study, are errors that name the problem.
+func TestParseStudyStrict(t *testing.T) {
+	const job = `{"name":"a","kind":"scenario","target":"paper-internode-pingpong"`
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"unknown field", `{"name":"s","bogus":1,"jobs":[` + job + `}]}`, `"bogus"`},
+		{"stale parallelWorkers", `{"name":"s","jobs":[` + job + `,"parallelWorkers":4}]}`, `"parallelWorkers"`},
+		{"misspelled job field", `{"name":"s","jobs":[` + job + `,"repetition":2}]}`, `"repetition"`},
+		{"trailing data", `{"name":"s","jobs":[` + job + `}]}{}`, "trailing data"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseStudy([]byte(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseStudy(%s) = %v, want error containing %s", tc.in, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestStoreNewestFirst: List orders artifacts by capture stamp,
 // newest first.
 func TestStoreNewestFirst(t *testing.T) {

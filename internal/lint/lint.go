@@ -1,9 +1,10 @@
 // Package lint implements pushpull-lint: five repo-specific static
 // analyzers that enforce, at compile time, the invariants the digest
-// replays only check after the fact. The whole repo rests on runs being
-// byte-identical for any worker count (ROADMAP; `make pdes-check`), and
-// every analyzer here guards one way that property has been broken or
-// nearly broken before:
+// replays only check after the fact. The whole repo rests on every run
+// reproducing its pinned digest — the same seed gives byte-identical
+// results, and sweeps and studies give the same results on any number
+// of workers — and every analyzer here guards one way that property has
+// been broken or nearly broken before:
 //
 //   - walltime: wall-clock reads (time.Now and friends) in simulation
 //     code leak host timing into results that must depend only on
@@ -17,7 +18,7 @@
 //     writing a hash makes the iteration order reach a digest.
 //   - taskletblock: tasklet steps run inline in engine context and must
 //     never call the blocking process-tier primitives (Queue.Get/Put,
-//     Resource.Acquire, Cond.Wait, Process.Sleep, Link.Transmit); only
+//     Resource.Acquire, Cond.Wait, Process.Sleep, Thread.Exec); only
 //     the polling variants (PollGet/PollPut/PollAcquire/Await/
 //     TransmitStep) are legal there.
 //   - poolretain: pooled one-shot objects (sim event structs, nic

@@ -10,7 +10,7 @@ import (
 var taskletblockAnalyzer = &Analyzer{
 	Name: "taskletblock",
 	Doc: "flag blocking process-tier primitives (Queue.Get/Put, " +
-		"Resource.Acquire/Use, Cond.Wait, Process.Sleep, Link.Transmit) " +
+		"Resource.Acquire/Use, Cond.Wait, Process.Sleep, Thread.Exec) " +
 		"in functions reachable from an Engine.NewTasklet step " +
 		"registration: tasklet steps run inline in engine context and " +
 		"must use the polling variants " +
@@ -26,9 +26,6 @@ var blockingMethods = map[string]map[string]bool{
 	"Resource": {"Acquire": true, "Use": true},
 	"Cond":     {"Wait": true, "WaitFor": true},
 	"Process":  {"Sleep": true},
-	"Link":     {"Transmit": true},
-	"Hub":      {"Transmit": true},
-	"Medium":   {"Transmit": true},
 	"Thread":   {"Exec": true, "Compute": true, "Copy": true, "PIO": true, "Syscall": true},
 }
 

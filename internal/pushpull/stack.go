@@ -72,9 +72,6 @@ type Stack struct {
 	// parked senders at declaration time, plus fast-failed entries).
 	failedOps uint64
 
-	// Trace, when set, receives one line per protocol event (used by
-	// cmd/pushpull-trace).
-	Trace func(format string, args ...any)
 	// Rec, when set, receives every protocol event as a structured
 	// trace.Event. A nil recorder is valid and records nothing.
 	Rec *trace.Recorder
@@ -101,12 +98,6 @@ func NewStack(n *smp.Node, opts Options) *Stack {
 	}
 }
 
-func (s *Stack) trace(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(format, args...)
-	}
-}
-
 // SetRecorder attaches a structured trace recorder to the stack and
 // propagates it to the attached NICs and go-back-N sessions, so one
 // recorder sees the whole node's protocol, link and reliability events.
@@ -127,12 +118,8 @@ func (s *Stack) SetRecorder(rec *trace.Recorder) {
 	}
 }
 
-// event publishes one structured protocol event (and mirrors it onto the
-// printf hook, prefixed with the current virtual time).
+// event publishes one structured protocol event.
 func (s *Stack) event(k trace.Kind, format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace("%v  "+format, append([]any{s.Node.Engine.Now()}, args...)...)
-	}
 	s.Rec.Recordf(s.Node.Engine.Now(), s.Node.ID, k, format, args...)
 }
 

@@ -46,11 +46,9 @@ func collFill(r, n int) []byte {
 }
 
 // firstRankErr reduces per-rank error slots to one error, lowest rank
-// first. The collective patterns record validation failures per rank —
-// under a partitioned (PDES) cluster the ranks run concurrently on
-// their nodes' shards, so they must not write one shared variable —
-// and the lowest-rank pick keeps the reported error deterministic for
-// any worker count.
+// first. The collective patterns record validation failures per rank,
+// so the reported error is the lowest failing rank's, whatever order
+// the ranks failed in.
 func firstRankErr(rankErr []error) error {
 	for _, err := range rankErr {
 		if err != nil {

@@ -60,16 +60,8 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 	spec.Seed = cfg.Seed
 
 	c := cluster.New(cfg)
-	// One recorder per node: under a partitioned (PDES) cluster each
-	// node's stack records from its own shard, so the recorders must not
-	// be shared. Sequential clusters get the same layout — the Result
-	// only reads per-kind counts, which merge below, so the layout is
-	// digest-neutral either way.
-	recs := make([]*trace.Recorder, len(c.Stacks))
-	for i := range recs {
-		recs[i] = trace.NewRecorder(4096)
-	}
-	c.SetNodeRecorders(recs)
+	rec := trace.NewRecorder(4096)
+	c.SetRecorder(rec)
 	if spec.Protocol.Adaptive {
 		ac := spec.adaptConfig(cfg.Opts)
 		for _, st := range c.Stacks {
@@ -90,10 +82,8 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 		Latency:   stats.Summarize(samples),
 		Events:    make(map[string]uint64),
 	}
-	for _, rec := range recs {
-		for _, kind := range rec.Kinds() {
-			res.Events[string(kind)] += rec.Count(kind)
-		}
+	for _, kind := range rec.Kinds() {
+		res.Events[string(kind)] = rec.Count(kind)
 	}
 	var receives uint64
 	for node, st := range c.Stacks {
@@ -119,24 +109,6 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 	if len(c.NICs) > 0 {
 		fl := c.FrameLoss()
 		res.FrameLoss = &fl
-	}
-	if st, ok := c.PDESStats(); ok {
-		// Attached after sealing, like FrameLoss: the superstep counters
-		// are schedule-derived (identical for any worker count), but
-		// Workers is the one knob that may legitimately differ between
-		// two otherwise identical runs — and `make pdes-check` diffs
-		// exactly those digests.
-		res.PDES = &PDESResult{
-			Workers:              c.Partition.Workers(),
-			Shards:               c.Partition.Shards(),
-			LookaheadNS:          int64(c.Partition.Lookahead()),
-			Supersteps:           st.Supersteps,
-			RootSteps:            st.RootSteps,
-			RoutedEvents:         st.RoutedEvents,
-			MeanReady:            st.MeanReady(),
-			MaxReady:             st.MaxReady,
-			LookaheadUtilization: st.LookaheadUtilization(),
-		}
 	}
 	return res, nil
 }

@@ -165,6 +165,30 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseSpecStrict: a misspelled or retired field, at any depth, or
+// data after the spec is an error that names the problem — never a
+// silently ignored setting.
+func TestParseSpecStrict(t *testing.T) {
+	const traffic = `"traffic":{"pattern":"pingpong","size":64,"messages":3}`
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"unknown field", `{"bogus":1,` + traffic + `}`, `"bogus"`},
+		{"stale parallelWorkers", `{"parallelWorkers":2,` + traffic + `}`, `"parallelWorkers"`},
+		{"misspelled parallelWorker", `{"parallelWorker":2,` + traffic + `}`, `"parallelWorker"`},
+		{"unknown nested field", `{"topology":{"kind":"switch","nodes":4,"lossPct":0.1},` + traffic + `}`, `"lossPct"`},
+		{"unknown fault field", `{"faults":{"events":[],"bogus":1},` + traffic + `}`, `"bogus"`},
+		{"trailing data", `{` + traffic + `}x`, "trailing data"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseSpec(%s) = %v, want error containing %s", tc.in, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestSpecValidation rejects the junk a CLI user can type.
 func TestSpecValidation(t *testing.T) {
 	cases := []struct {

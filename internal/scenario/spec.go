@@ -26,6 +26,7 @@ import (
 	"pushpull/internal/pushpull"
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
+	"pushpull/internal/strictjson"
 )
 
 // Spec is one complete declarative scenario. The zero value is not
@@ -49,14 +50,6 @@ type Spec struct {
 	// loss bursts, switch-port blackouts, node pauses, NIC stalls. Runs
 	// with a plan report a degradation section in their Result.
 	Faults *fault.Plan `json:"faults,omitempty"`
-	// ParallelWorkers > 0 enables conservative-PDES execution: the
-	// topology is split into one shard per node (plus one for the switch)
-	// and that many worker goroutines drain lookahead-bounded windows in
-	// parallel. The digest is byte-identical for any worker count;
-	// topologies without a conservative lookahead (hub, intranode,
-	// zero-propagation links) silently run sequentially. 0 is the plain
-	// sequential engine.
-	ParallelWorkers int `json:"parallelWorkers,omitempty"`
 }
 
 // Topology selects the machines and the interconnect joining them.
@@ -196,10 +189,11 @@ func DefaultSpec() Spec {
 }
 
 // ParseSpec overlays JSON onto DefaultSpec, so a spec file only states
-// what differs from the paper's testbed.
+// what differs from the paper's testbed. Unknown fields and trailing
+// data are errors.
 func ParseSpec(data []byte) (Spec, error) {
 	s := DefaultSpec()
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := strictjson.Unmarshal(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
@@ -242,9 +236,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Traffic.SegmentBytes < 0 {
 		return fmt.Errorf("scenario: traffic segmentBytes %d is negative", s.Traffic.SegmentBytes)
-	}
-	if s.ParallelWorkers < 0 {
-		return fmt.Errorf("scenario: parallelWorkers %d is negative", s.ParallelWorkers)
 	}
 	cfg, err := s.clusterConfig()
 	if err != nil {
@@ -381,7 +372,6 @@ func (s Spec) clusterConfig() (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	cfg.FaultPlan = s.Faults
-	cfg.ParallelWorkers = s.ParallelWorkers
 	return cfg, nil
 }
 

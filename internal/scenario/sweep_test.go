@@ -253,3 +253,25 @@ func TestSweepJSONRoundTrip(t *testing.T) {
 		t.Errorf("sparse sweep expands to %d points, want 3", sparse.Grid.Points())
 	}
 }
+
+// TestParseSweepStrict: unknown fields in the sweep, its base spec or
+// its grid, and data after the sweep, are errors that name the problem.
+func TestParseSweepStrict(t *testing.T) {
+	const base = `"base":{"topology":{"kind":"switch","nodes":2},"traffic":{"pattern":"pingpong","size":64,"messages":3}}`
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"unknown field", `{"name":"s","bogus":1,` + base + `,"grid":{"seeds":[1]}}`, `"bogus"`},
+		{"stale parallelWorkers", `{"name":"s","parallelWorkers":2,` + base + `,"grid":{"seeds":[1]}}`, `"parallelWorkers"`},
+		{"stale parallelWorkers in base", `{"name":"s","base":{"parallelWorkers":2},"grid":{"seeds":[1]}}`, `"parallelWorkers"`},
+		{"unknown grid axis", `{"name":"s",` + base + `,"grid":{"seed":[1]}}`, `"seed"`},
+		{"trailing data", `{"name":"s",` + base + `,"grid":{"seeds":[1]}}]`, "trailing data"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSweep([]byte(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseSweep(%s) = %v, want error containing %s", tc.in, err, tc.want)
+			}
+		})
+	}
+}

@@ -177,29 +177,25 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 
 	type chanKey = [2]int
 	samples := make([]float64, 0, planMsgs)
+	var (
+		gotMsgs  int
+		gotBytes uint64
+		runErr   error
+	)
 
-	// Per-reactor accumulators: under a partitioned (PDES) cluster the
-	// reactors run concurrently on their nodes' shards, so they must not
-	// share mutable state. Each directed channel's reactor records into
-	// its own slot; the slots are merged after the run. Totals are
-	// order-independent, so they merge identically in both modes; raw
-	// samples are digested in order, so the sequential engine keeps its
-	// original global-event-order interleave (preserving the pinned
-	// digests) while a partitioned run concatenates per-channel in
-	// sorted (from, to) order — one more way a partition's digest
-	// legitimately differs from the sequential engine's, while staying
-	// byte-identical for any worker count.
-	type wfAcc struct {
-		samples []float64
-		msgs    int
-		bytes   uint64
-		err     error
+	// Every per-channel loop below walks the channels in sorted
+	// (from, to) order: spawning reactors schedules events, so map
+	// order would leak Go's randomized iteration into the run.
+	keys := make([]chanKey, 0, len(counts))
+	for ck := range counts {
+		keys = append(keys, ck)
 	}
-	accs := make(map[chanKey]*wfAcc, len(counts))
-	for ck, cnt := range counts {
-		accs[ck] = &wfAcc{samples: make([]float64, 0, cnt)}
-	}
-	sequential := c.Partition == nil
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
 
 	// Each active directed channel reuses one source staging buffer (the
 	// translation cost is per-address, so reuse mirrors a real sender's
@@ -208,10 +204,9 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 	// themselves are allocated per message: the pull phase reads the
 	// source asynchronously, and the receivers re-derive the graph from
 	// the bytes they are handed.
-	srcChan := make(map[chanKey]*comm.Channel)
-	for ck := range counts {
-		ch := cms[ck[0]].To(cms[ck[1]].ID())
-		srcChan[ck] = ch
+	srcChan := make(map[chanKey]*comm.Channel, len(keys))
+	for _, ck := range keys {
+		srcChan[ck] = cms[ck[0]].To(cms[ck[1]].ID())
 	}
 
 	// send transmits one wavefront message on the (from → to) channel.
@@ -223,17 +218,14 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 	// react processes one delivered payload: record the sample, then
 	// derive and emit the children. The message graph is re-derived from
 	// the received bytes — the data dependence is real, not replayed.
-	react := func(t *smp.Thread, acc *wfAcc, self int, data []byte) {
+	// Samples are digested in delivery order.
+	react := func(t *smp.Thread, self int, data []byte) {
 		key := binary.LittleEndian.Uint64(data[0:8])
 		depth := int(data[8])
 		sentAt := sim.Time(binary.LittleEndian.Uint64(data[9:17]))
-		if sequential {
-			samples = append(samples, t.Now().Sub(sentAt).Microseconds())
-		} else {
-			acc.samples = append(acc.samples, t.Now().Sub(sentAt).Microseconds())
-		}
-		acc.msgs++
-		acc.bytes += uint64(len(data))
+		samples = append(samples, t.Now().Sub(sentAt).Microseconds())
+		gotMsgs++
+		gotBytes += uint64(len(data))
 		if depth >= p.depth {
 			return
 		}
@@ -244,18 +236,19 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 	}
 
 	// One reactor per active directed channel, on the receiver's CPU.
-	for ck, cnt := range counts {
-		ck, cnt := ck, cnt
-		acc := accs[ck]
+	for _, ck := range keys {
+		ck, cnt := ck, counts[ck]
 		from, to := cms[ck[0]], cms[ck[1]]
 		spawn(c, to, fmt.Sprintf("wf-r%d<-%d", ck[1], ck[0]), func(t *smp.Thread) {
 			for i := 0; i < cnt; i++ {
 				data, err := to.Recv(t, from.ID(), p.maxSize)
 				if err != nil {
-					acc.err = err
+					if runErr == nil {
+						runErr = err
+					}
 					return
 				}
-				react(t, acc, ck[1], data)
+				react(t, ck[1], data)
 			}
 		})
 	}
@@ -268,34 +261,6 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 		}
 	})
 	simErr := runSim(c, s)
-	// Merge the per-reactor accumulators in sorted channel order — the
-	// same order for any worker count (and any map iteration).
-	keys := make([]chanKey, 0, len(accs))
-	for ck := range accs {
-		keys = append(keys, ck)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	var (
-		gotMsgs  int
-		gotBytes uint64
-		runErr   error
-	)
-	for _, ck := range keys {
-		acc := accs[ck]
-		gotMsgs += acc.msgs
-		gotBytes += acc.bytes
-		if acc.err != nil && runErr == nil {
-			runErr = acc.err
-		}
-		if !sequential {
-			samples = append(samples, acc.samples...)
-		}
-	}
 	// A reactor's Recv error strands its peers, so the budget usually
 	// expires too — the root cause outranks the generic budget report.
 	if runErr != nil {

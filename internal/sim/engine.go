@@ -91,14 +91,6 @@ type Engine struct {
 	fault     any // panic captured from a process, re-raised in Run
 	executed  uint64
 	nameCount map[string]int
-
-	// Partition membership (nil/zero outside PDES mode). shard is this
-	// engine's position in the partition's deterministic merge order;
-	// outbox buffers cross-shard events emitted during a superstep until
-	// the orchestrator flushes them at the next barrier (see pdes.go).
-	part   *Partition
-	shard  int
-	outbox []routedEvent
 }
 
 // NewEngine returns an engine at virtual time zero with a deterministic
@@ -247,41 +239,8 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
-// Pending reports the number of queued events. For a partitioned run
-// this is one shard's local count; Partition.Pending sums the shards,
-// which is the exact whole-simulation figure.
+// Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) + (len(e.dq) - e.dqHead) }
-
-// NextEventTime reports the timestamp of the next event this engine
-// would execute, if any. A non-empty dispatch queue pins it to the
-// current time: dispatch entries are already runnable at e.now and
-// nothing on the heap can precede them by more than priority, which
-// does not move the clock.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if e.dqHead < len(e.dq) {
-		return e.now, true
-	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
-	}
-	return 0, false
-}
-
-// ScheduleOn schedules fn at dst's virtual time e.Now()+d, where dst
-// may be a different engine of the same Partition. On the local engine
-// (or outside a partition) it is exactly Schedule. Cross-shard events
-// are buffered in the source's outbox and inserted into dst at the next
-// superstep barrier in (time, prio, shard, seq) order — the partition's
-// deterministic merge rule — so the destination's resulting event order
-// is independent of worker count.
-func (e *Engine) ScheduleOn(dst *Engine, d Duration, fn func()) {
-	t := e.now.Add(d)
-	if dst == e || e.part == nil {
-		dst.At(t, PriorityNormal, fn)
-		return
-	}
-	e.outbox = append(e.outbox, routedEvent{dst: dst, at: t, fn: fn})
-}
 
 // Live reports the number of live (started or pending) processes.
 func (e *Engine) Live() int { return e.nproc }

@@ -43,14 +43,10 @@
 // goroutine.
 //
 // All state is confined to a single Engine; engines are not safe for use
-// from multiple goroutines except through the process mechanism. For
-// parallelism inside one run, a Partition (conservative barrier-
-// synchronous PDES, see pdes.go) shards a simulation across several
-// engines: each engine is still driven by exactly one goroutine at a
-// time — a worker owns it for one superstep window, and the barrier
-// between supersteps establishes the happens-before edge before another
-// worker may touch it — so per-engine code keeps the single-threaded
-// model, and cross-shard effects go through Engine.ScheduleOn.
+// from multiple goroutines except through the process mechanism. Every
+// run executes on one Engine, so the pinned digests are the only
+// determinism contract. Parallelism lives across runs instead: sweeps
+// and studies give each run its own Engine and run them side by side.
 package sim
 
 import "fmt"
