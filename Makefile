@@ -2,12 +2,12 @@ GO ?= go
 
 # ci is the documented tier-1 gate: vet, the determinism/tier/pooling
 # lint pass, build, the full test suite under the race detector, one
-# iteration of every benchmark (so the benchmark-only files at the repo
-# root are compiled AND executed), the goroutine-leak check, the sweep
+# iteration of every benchmark, the goroutine-leak check, the sweep
 # determinism check, the fault-injection determinism check, the lab
-# artifact gate, and a smoke run of every example binary.
+# artifact gate, a smoke run of every example binary, and vet, tests
+# and lint of the separate benchmark/ module.
 .PHONY: ci
-ci: vet lint build race bench leak-check sweep-check fault-check lab-check examples
+ci: vet lint build race bench leak-check sweep-check fault-check lab-check examples benchmark-check
 
 .PHONY: vet
 vet:
@@ -41,9 +41,9 @@ race:
 	$(GO) test -race ./...
 
 # bench runs every benchmark exactly once: a smoke pass, not a
-# measurement (use `go test -bench . -benchtime 10x .` for numbers).
-# The sweep includes BenchmarkTaskletSwitch and BenchmarkProcessSwitch,
-# the pair BENCH_sim.json tracks for the two execution tiers.
+# measurement. For numbers, run `go test -bench . ./internal/sim` (the
+# sim-core microbenchmarks, defined once in internal/lab/gobench.go)
+# or the repo benchmark, `bash benchmark/run.sh` (see benchmark/README.md).
 .PHONY: bench
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -58,6 +58,14 @@ leak-check:
 	$(GO) test ./internal/sim -run TestShutdown -count=1
 
 # fuzz gives the go-back-N delivery property a short fuzzing budget.
+# benchmark-check covers the benchmark/ module, which is its own Go
+# module: the root `go test ./...`, vet and lint never compile it, yet
+# it calls internal APIs (lab.GoBenchmarks, smp, nic, ether, trace).
+.PHONY: benchmark-check
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	$(GO) run ./cmd/pushpull-lint -dir benchmark ./... pushpull/...
+
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGoBackNDelivery -fuzztime 30s ./internal/gbn/
@@ -152,14 +160,6 @@ lab-check:
 .PHONY: lab-baseline
 lab-baseline:
 	$(GO) run ./cmd/pushpull-lab run -workers 4 -out internal/lab/testdata/baseline-smoke.json smoke
-
-# bench-capture appends one wall-clock capture of the tracked
-# internal/sim microbenchmarks to the BENCH_sim.json series (the lab's
-# replacement for hand-editing that file after a -bench run).
-# Pass a context line: make bench-capture COMMENT="what changed".
-.PHONY: bench-capture
-bench-capture:
-	$(GO) run ./cmd/pushpull-lab gobench -comment "$(COMMENT)"
 
 .PHONY: sweep-check
 sweep-check:

@@ -11,7 +11,6 @@
 //	pushpull-lab list [-store DIR]
 //	pushpull-lab show [-body] <artifact.json>
 //	pushpull-lab compare [-tol metric=frac ...] <baseline.json> <candidate.json>
-//	pushpull-lab gobench [-file BENCH_sim.json] [-comment C]
 //
 // "run" executes every job of the study on a worker pool and persists a
 // schema-versioned artifact. Everything in the artifact below the
@@ -26,11 +25,6 @@
 // different experiments. -tol takes metric=frac pairs ("default=0.1"
 // rebinds the default 5%; counters like receives/bytes/points are
 // exact unless overridden).
-//
-// "gobench" reruns the tracked internal/sim microbenchmarks via
-// testing.Benchmark and appends one entry to the BENCH_sim.json
-// append-only series — the capture path that replaces hand-editing the
-// perf history. Wall-clock numbers never enter study artifacts.
 //
 // Exit codes: 0 success, 1 operational error (including refused
 // comparisons), 2 usage, 3 metric regression, 4 job digest change.
@@ -78,8 +72,6 @@ func main() {
 		showCmd(os.Args[2:])
 	case "compare":
 		compareCmd(os.Args[2:])
-	case "gobench":
-		gobenchCmd(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -225,33 +217,6 @@ func compareCmd(args []string) {
 	os.Exit(c.ExitCode())
 }
 
-func gobenchCmd(args []string) {
-	fs := flag.NewFlagSet("gobench", flag.ExitOnError)
-	file := fs.String("file", "BENCH_sim.json", "series file to append the capture to")
-	comment := fs.String("comment", "", "one-line context for this capture (what changed)")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: pushpull-lab gobench [-file F] [-comment C]")
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, "pushpull-lab: running the tracked internal/sim microbenchmarks (wall clock — not part of any artifact)...")
-	entry := lab.BenchSeriesEntry{
-		//pushpull:lint-allow walltime capture stamp recording when the bench series entry was taken; not digested
-		CapturedAt: time.Now().UTC().Format(time.RFC3339),
-		Commit:     gitCommit(),
-		Comment:    *comment,
-		Benchmarks: lab.CaptureGoBench(),
-	}
-	for _, m := range entry.Benchmarks {
-		fmt.Fprintf(os.Stderr, "  %-32s %12.2f ns/op %6d B/op %4d allocs/op\n",
-			m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-	}
-	if err := lab.AppendBenchSeries(*file, entry); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "pushpull-lab: appended capture to %s\n", *file)
-}
-
 // resolveStudy maps a study argument to a Study: builtin name first,
 // then a path to a JSON study file.
 func resolveStudy(arg string) (lab.Study, error) {
@@ -293,7 +258,6 @@ usage:
                                       print an artifact (-body: deterministic bytes only)
   pushpull-lab compare [flags] <baseline.json> <candidate.json>
                                       diff two artifacts; gate on digests and metric tolerances
-  pushpull-lab gobench [flags]        rerun the sim microbenchmarks, append to BENCH_sim.json
 
 run flags:
   -workers N    pool size (0 = GOMAXPROCS); the artifact body is byte-identical for any N

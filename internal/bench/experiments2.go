@@ -299,7 +299,7 @@ func runCollective(p Params) []*stats.Table {
 // busiest node's transmitted wire bytes per op — the volume metric the
 // bandwidth-optimal schedules are judged by (a balanced schedule has no
 // hot node; a rooted tree concentrates full vectors on the root). The
-// root bench2 rows and the longvector experiment share it.
+// longvector experiment and TestLongVectorAlgorithmsWin share it.
 func LongVectorCollective(ranks, iters int, body func(r *coll.Rank)) (perOp, maxTxPerOp float64) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = ranks

@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"pushpull/coll"
 	"pushpull/internal/pushpull"
 	"pushpull/internal/sim"
 	"pushpull/internal/stats"
@@ -257,5 +258,47 @@ func TestOneShotRecoveryNearPaper(t *testing.T) {
 	ms := OneShot(w, sim.Duration(sim.Millisecond)) / 1000
 	if ms < 100 || ms > 200 {
 		t.Errorf("push-all 3072B recovery = %.1fms, want ~150", ms)
+	}
+}
+
+// TestLongVectorAlgorithmsWin pins the long-vector acceptance bar: at
+// 64 KiB on 8 ranks the segmented ring Bcast completes in less virtual
+// time than the plain ring, and rs-ag's busiest node moves fewer wire
+// bytes (and finishes sooner) than the tree's root.
+func TestLongVectorAlgorithmsWin(t *testing.T) {
+	const longVecBytes = 64 << 10
+	data := make([]byte, longVecBytes)
+	bcast := func(opts ...coll.Opt) float64 {
+		perOp, _ := LongVectorCollective(8, 3, func(r *coll.Rank) {
+			var src []byte
+			if r.ID() == 0 {
+				src = data
+			}
+			r.Bcast(0, src, longVecBytes, opts...)
+		})
+		return perOp
+	}
+	ring := bcast(coll.WithAlgorithm(coll.Ring))
+	seg := bcast(coll.WithAlgorithm(coll.RingSegmented), coll.WithSegment(8192))
+	if seg >= ring {
+		t.Errorf("segmented ring bcast %.1f µs, plain ring %.1f µs — pipelining lost", seg, ring)
+	}
+
+	allreduce := func(alg coll.Algorithm) (float64, float64) {
+		return LongVectorCollective(8, 3, func(r *coll.Rank) {
+			vec := make([]byte, longVecBytes)
+			for j := range vec {
+				vec[j] = byte(r.ID() + j)
+			}
+			r.AllReduce(vec, coll.XorBytes, coll.WithAlgorithm(alg))
+		})
+	}
+	treeUS, treeVol := allreduce(coll.Tree)
+	rsagUS, rsagVol := allreduce(coll.RSAG)
+	if rsagVol >= treeVol {
+		t.Errorf("rs-ag hottest node moved %.0f B/op, tree %.0f B/op — volume balance lost", rsagVol, treeVol)
+	}
+	if rsagUS >= treeUS {
+		t.Errorf("rs-ag %.1f µs/op, tree %.1f µs/op — bandwidth optimality lost", rsagUS, treeUS)
 	}
 }

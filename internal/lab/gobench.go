@@ -1,41 +1,34 @@
 package lab
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 
 	"pushpull/internal/sim"
 )
 
-// This file is the lab's capture path for the BENCH_sim.json series:
-// the sim-core microbenchmark trajectory that used to be appended by
-// hand after a `go test -bench` run. GoBenchmarks replicates the
-// tracked shapes of internal/sim/bench_test.go on the exported engine
-// API so they are runnable from the CLI via testing.Benchmark, and
-// AppendBenchSeries appends one capture entry without disturbing the
-// existing (heterogeneous) history. Wall-clock numbers are inherently
-// machine-dependent, so gobench captures never enter study artifacts
-// or their digests — they are an append-only series, compared by ratio
-// within one entry.
+// GoBenchmarks is the one definition of the sim-core microbenchmarks:
+// the engine's hot paths — heap scheduling, same-time dispatch, process
+// and tasklet context switches, and timer arm/disarm — written on the
+// exported engine API. `go test -bench . ./internal/sim` runs them, and
+// the repo benchmark (benchmark/micro.go) looks them up by name for its
+// sim.* per-layer metrics. Wall-clock numbers never enter study
+// artifacts or their digests.
 
 // GoBenchmark is one tracked microbenchmark.
 type GoBenchmark struct {
 	Name string
-	Note string
 	F    func(b *testing.B)
-	// EventsPerOp > 1 means ns_per_op amortizes that many events (the
-	// ScheduleRun batch), reported as ns_per_event.
+	// EventsPerOp > 1 means one op is that many events (the ScheduleRun
+	// batch); the per-event cost is ns/op divided by it.
 	EventsPerOp int
 }
 
-// GoBenchmarks returns the tracked sim-core microbenchmarks, the same
-// shapes BENCH_sim.json has recorded since PR 2.
+// GoBenchmarks returns the tracked sim-core microbenchmarks.
 func GoBenchmarks() []GoBenchmark {
 	return []GoBenchmark{
 		{
-			Name: "BenchmarkScheduleRun", Note: "64 heap events per op", EventsPerOp: 64,
+			// Raw event throughput: 64 future events per op through the heap.
+			Name: "BenchmarkScheduleRun", EventsPerOp: 64,
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)
 				const batch = 64
@@ -50,7 +43,9 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
-			Name: "BenchmarkSameTimeDispatch", Note: "one wake/Yield-shaped event per op",
+			// The wake/Yield shape: every event schedules its successor at
+			// the current virtual time.
+			Name: "BenchmarkSameTimeDispatch",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)
 				b.ReportAllocs()
@@ -68,7 +63,9 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
-			Name: "BenchmarkProcessSwitch", Note: "two processes yielding per op (goroutine-handoff bound)",
+			// One engine->process->engine switch: two processes alternately
+			// yielding (goroutine-handoff bound).
+			Name: "BenchmarkProcessSwitch",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)
 				body := func(p *sim.Process) {
@@ -84,7 +81,10 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
-			Name: "BenchmarkTaskletSwitch", Note: "two tasklets yielding per op (inline dispatch, no goroutine handoff)",
+			// The inline tier's counterpart: two tasklets alternately
+			// yielding. The gap to ProcessSwitch is the goroutine handoff
+			// the tasklet tier eliminates.
+			Name: "BenchmarkTaskletSwitch",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)
 				mk := func(name string) *sim.Tasklet {
@@ -106,7 +106,9 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
-			Name: "BenchmarkTimerArmCancel", Note: "one Reset+Stop cycle per op (the go-back-N retransmission shape)",
+			// The go-back-N retransmission shape: arm a timer, then disarm it
+			// before expiry, once per op.
+			Name: "BenchmarkTimerArmCancel",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)
 				tm := sim.NewTimer(e, func() {})
@@ -124,90 +126,10 @@ func GoBenchmarks() []GoBenchmark {
 				}
 				e.Schedule(0, step)
 				e.Run()
+				if pending := e.Pending(); pending != 0 {
+					b.Fatalf("Pending() = %d after drain, want 0", pending)
+				}
 			},
 		},
 	}
-}
-
-// BenchMeasurement is one benchmark's capture, in the series' JSON
-// vocabulary.
-type BenchMeasurement struct {
-	Name        string  `json:"name"`
-	UnitNote    string  `json:"unit_note,omitempty"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	NsPerEvent  float64 `json:"ns_per_event,omitempty"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// BenchSeriesEntry is one append-only capture of the whole tracked set.
-type BenchSeriesEntry struct {
-	CapturedAt string             `json:"captured_at"`
-	Commit     string             `json:"commit,omitempty"`
-	Comment    string             `json:"comment,omitempty"`
-	Benchmarks []BenchMeasurement `json:"benchmarks"`
-}
-
-// CaptureGoBench runs every tracked microbenchmark via
-// testing.Benchmark and returns the measurements (stamp fields left to
-// the caller).
-func CaptureGoBench() []BenchMeasurement {
-	var out []BenchMeasurement
-	for _, gb := range GoBenchmarks() {
-		r := testing.Benchmark(gb.F)
-		m := BenchMeasurement{
-			Name:        gb.Name,
-			UnitNote:    gb.Note,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if gb.EventsPerOp > 1 {
-			m.NsPerEvent = m.NsPerOp / float64(gb.EventsPerOp)
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-// benchSeriesFile mirrors BENCH_sim.json's top level; series entries
-// stay raw so heterogeneous historical shapes (the PR-2 before/after
-// entry) survive a rewrite byte-for-byte up to re-indentation.
-type benchSeriesFile struct {
-	Comment string            `json:"comment"`
-	Series  []json.RawMessage `json:"series"`
-}
-
-// AppendBenchSeries appends one capture entry to the series file
-// (creating it if absent), preserving every existing entry verbatim.
-func AppendBenchSeries(path string, entry BenchSeriesEntry) error {
-	return appendSeriesEntry(path, "internal/sim hot-path microbenchmark trajectory, captured by `pushpull-lab gobench`. Append-only: each series entry is one capture, never overwritten. Compare ratios within one entry, not ns across entries — machine speed varies between captures.", entry)
-}
-
-// appendSeriesEntry is the shared append-only series writer: entries
-// stay raw so heterogeneous historical shapes survive a rewrite
-// byte-for-byte up to re-indentation; defaultComment seeds the file's
-// top-level comment only on creation.
-func appendSeriesEntry(path, defaultComment string, entry any) error {
-	var file benchSeriesFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("lab: parsing %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if file.Comment == "" {
-		file.Comment = defaultComment
-	}
-	raw, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	file.Series = append(file.Series, raw)
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -62,20 +62,3 @@ func TestRunShutdownAfterSuccess(t *testing.T) {
 		t.Fatalf("%d goroutines after completed run, baseline %d", got, baseline)
 	}
 }
-
-// BenchmarkPumpBoundScenario is the end-to-end counterpart to
-// BenchmarkTaskletSwitch: a full pingpong scenario whose wall time is
-// dominated by protocol-pump handoffs (NIC tx/wire/rx, go-back-N lanes),
-// i.e. by whichever tier those pumps run on. The tasklet conversion
-// shows up here as whole-scenario speedup, not just a micro number.
-func BenchmarkPumpBoundScenario(b *testing.B) {
-	spec := DefaultSpec()
-	spec.Traffic = Traffic{Pattern: "pingpong", Size: 1400, Messages: 200}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -275,3 +275,32 @@ func TestParseSweepStrict(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkSweepSerial runs the 8-point smoke grid on one worker: the
+// whole-run entry point for allocation profiles
+// (`go test -run '^$' -bench SweepSerial -memprofile mem.out ./internal/scenario`).
+// The aggregate digest is asserted on every iteration.
+func BenchmarkSweepSerial(b *testing.B) {
+	sw, err := SweepByName("smoke-grid")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var digest string
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunSweep(sw, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Failed != 0 {
+			b.Fatalf("%d of %d points failed", res.Failed, res.Points)
+		}
+		if digest == "" {
+			digest = res.Digest
+		} else if res.Digest != digest {
+			b.Fatalf("digest changed between iterations: %s vs %s", digest, res.Digest)
+		}
+		b.ReportMetric(float64(res.Points), "points")
+	}
+}

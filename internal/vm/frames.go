@@ -7,53 +7,63 @@ import "fmt"
 // alternating), so virtually contiguous buffers are physically scattered —
 // the common state of a machine whose page pool has been churned. This is
 // what makes zero buffers genuinely multi-segment.
+//
+// The order is computed, not tabulated: a node models 256 MB but a run
+// touches a few frames, so the allocator keeps only a cursor into the
+// order and a stack of frames returned by Free.
 type FrameAllocator struct {
 	totalFrames uint64
-	free        []uint64 // frame numbers, pop from end
+	next        uint64   // fresh frames handed out so far: the cursor into the order
+	freed       []uint64 // frames returned by Free, reused LIFO before the cursor advances
 	allocated   map[uint64]bool
 }
 
 // NewFrameAllocator manages a physical memory of size bytes (rounded down
 // to whole frames).
 func NewFrameAllocator(size uint64) *FrameAllocator {
-	n := size >> PageShift
-	f := &FrameAllocator{
-		totalFrames: n,
+	return &FrameAllocator{
+		totalFrames: size >> PageShift,
 		allocated:   make(map[uint64]bool),
 	}
-	// Interleave: 0, n/2, 1, n/2+1, ... reversed so pops come off the end
-	// in that order.
-	half := n / 2
-	order := make([]uint64, 0, n)
-	for i := uint64(0); i < half; i++ {
-		order = append(order, i, half+i)
+}
+
+// fresh returns the k-th frame of the interleaved order 0, half, 1,
+// half+1, ..., where an odd frame count's last frame comes at the tail.
+func (f *FrameAllocator) fresh(k uint64) uint64 {
+	half := f.totalFrames / 2
+	switch {
+	case k >= 2*half:
+		return k
+	case k%2 == 0:
+		return k / 2
+	default:
+		return half + k/2
 	}
-	for i := 2 * half; i < n; i++ {
-		order = append(order, i)
-	}
-	// reverse into the free stack
-	f.free = make([]uint64, n)
-	for i, fr := range order {
-		f.free[int(n)-1-i] = fr
-	}
-	return f
 }
 
 // TotalFrames reports the number of managed frames.
 func (f *FrameAllocator) TotalFrames() uint64 { return f.totalFrames }
 
 // FreeFrames reports the number of unallocated frames.
-func (f *FrameAllocator) FreeFrames() uint64 { return uint64(len(f.free)) }
+func (f *FrameAllocator) FreeFrames() uint64 {
+	return f.totalFrames - f.next + uint64(len(f.freed))
+}
 
 // Alloc returns a free frame number. It panics when physical memory is
 // exhausted: the simulated workloads are sized to fit, so exhaustion is a
 // configuration bug.
 func (f *FrameAllocator) Alloc() uint64 {
-	if len(f.free) == 0 {
+	var fr uint64
+	switch n := len(f.freed); {
+	case n > 0:
+		fr = f.freed[n-1]
+		f.freed = f.freed[:n-1]
+	case f.next < f.totalFrames:
+		fr = f.fresh(f.next)
+		f.next++
+	default:
 		panic("vm: out of physical frames")
 	}
-	fr := f.free[len(f.free)-1]
-	f.free = f.free[:len(f.free)-1]
 	f.allocated[fr] = true
 	return fr
 }
@@ -64,7 +74,7 @@ func (f *FrameAllocator) Free(frame uint64) {
 		panic(fmt.Sprintf("vm: freeing unallocated frame %d", frame))
 	}
 	delete(f.allocated, frame)
-	f.free = append(f.free, frame)
+	f.freed = append(f.freed, frame)
 }
 
 // Allocated reports whether a frame is currently allocated.

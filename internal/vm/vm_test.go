@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,98 @@ func TestFrameAllocatorInterleaves(t *testing.T) {
 	a, b := fa.Alloc(), fa.Alloc()
 	if b == a+1 {
 		t.Errorf("consecutive allocations %d, %d are physically adjacent; allocator should interleave", a, b)
+	}
+}
+
+// allocN hands out n frames in order.
+func allocN(fa *FrameAllocator, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = fa.Alloc()
+	}
+	return out
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestFrameAllocatorOrder pins the exact hand-out order: low and high
+// halves alternate, and an odd frame count's last frame comes at the
+// tail.
+func TestFrameAllocatorOrder(t *testing.T) {
+	for _, tc := range []struct {
+		frames uint64
+		want   []uint64
+	}{
+		{4, []uint64{0, 2, 1, 3}},
+		{5, []uint64{0, 2, 1, 3, 4}},
+		{1, []uint64{0}},
+	} {
+		fa := NewFrameAllocator(tc.frames * PageSize)
+		got := allocN(fa, len(tc.want))
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%d frames: order %v, want %v", tc.frames, got, tc.want)
+				break
+			}
+		}
+		if fa.FreeFrames() != 0 {
+			t.Errorf("%d frames: %d free after allocating all", tc.frames, fa.FreeFrames())
+		}
+	}
+}
+
+// TestFrameAllocatorFreeIsLIFO: freed frames are reused last-in first-out
+// before the allocator hands out a fresh one.
+func TestFrameAllocatorFreeIsLIFO(t *testing.T) {
+	fa := NewFrameAllocator(8 * PageSize)
+	got := allocN(fa, 3) // 0, 4, 1
+	fa.Free(got[0])
+	fa.Free(got[2])
+	if fa.FreeFrames() != 7 {
+		t.Fatalf("free frames = %d, want 7", fa.FreeFrames())
+	}
+	want := []uint64{got[2], got[0], 5, 2}
+	for i, w := range allocN(fa, len(want)) {
+		if w != want[i] {
+			t.Fatalf("allocation %d after frees = %d, want %d (sequence %v)", i, w, want[i], want)
+		}
+	}
+	if !fa.Allocated(got[0]) || fa.Allocated(3) {
+		t.Error("Allocated disagrees with the hand-out sequence")
+	}
+}
+
+func TestFrameAllocatorPanics(t *testing.T) {
+	fa := NewFrameAllocator(2 * PageSize)
+	allocN(fa, 2)
+	mustPanic(t, "allocating past exhaustion", func() { fa.Alloc() })
+	fa.Free(1)
+	mustPanic(t, "double free", func() { fa.Free(1) })
+	mustPanic(t, "freeing a never-allocated frame", func() { NewFrameAllocator(PageSize).Free(0) })
+}
+
+var allocatorSink *FrameAllocator
+
+// TestNewFrameAllocatorIsLazy: a 256 MB node costs no per-frame state up
+// front; a run allocates only what it touches.
+func TestNewFrameAllocatorIsLazy(t *testing.T) {
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		allocatorSink = NewFrameAllocator(256 << 20)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 4<<10 {
+		t.Errorf("NewFrameAllocator(256 MB) allocated %d bytes, want under 4 KiB", per)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 	"pushpull/internal/scenario"
 )
 
-// TestSmoke is the root package's fast end-to-end check (the other
-// files here are benchmark-only, which `go test ./...` reports as "no
-// tests to run"): the paper testbed builds, a ping-pong completes with
-// a plausible latency, and the scenario engine agrees with the bench
-// harness on the identical workload.
+// TestSmoke is the root package's fast end-to-end check: the paper
+// testbed builds, a ping-pong completes with a plausible latency, and
+// the scenario engine agrees with the bench harness on the identical
+// workload. The paper's figures are regenerated by cmd/pushpull-bench
+// and pinned by the shape tests in internal/bench.
 func TestSmoke(t *testing.T) {
 	w := bench.Workload{Cluster: cluster.DefaultConfig(), Size: 1400, Iters: 20}
 	sum := bench.SingleTrip(w)
