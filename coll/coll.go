@@ -25,7 +25,7 @@ type World struct {
 	progs []*nodeProgressor
 }
 
-// nodeProgressor drives the progressed Requests of one node's ranks on
+// nodeProgressor drives the Requests of one node's ranks on
 // that node's engine.
 type nodeProgressor struct {
 	tk          *sim.Tasklet
@@ -75,7 +75,7 @@ func NewWorld(c *cluster.Cluster, opts ...WorldOption) *World {
 	return w
 }
 
-// enqueueProgress hands a freshly started progressed Request to its
+// enqueueProgress hands a freshly started Request to its
 // node's progression tasklet and subscribes the tasklet to the round
 // already in flight. The unconditional Wake covers operations that
 // completed before the subscription (the round was posted on the rank's

@@ -554,9 +554,8 @@ func TestConcurrentOutstandingCollectives(t *testing.T) {
 	}
 }
 
-// Test-driven progression: a multi-round IBarrier completes through
-// polling alone — each Test that finds the in-flight round complete
-// posts the next one.
+// A multi-round IBarrier completes under a rank that only polls: the
+// progression tasklet posts each round, and Test observes completion.
 func TestIBarrierCompletesByPolling(t *testing.T) {
 	w := newWorld(4, 2, pushpull.PushPull)
 	size := w.Size()
@@ -812,7 +811,7 @@ func TestBcastSegmentedPipelinesFasterThanRing(t *testing.T) {
 	}
 }
 
-// Test must not allocate while the round in flight is incomplete: it is
+// Test must not allocate while the collective is in flight: it is
 // the polling point inside application compute loops.
 func TestRequestTestDoesNotAllocateWhilePending(t *testing.T) {
 	w := newWorld(2, 1, pushpull.PushPull)

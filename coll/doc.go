@@ -59,10 +59,13 @@
 //	r.Compute(500_000) // the first round's messages progress meanwhile
 //	res, err := req.Wait()
 //
-// Progression is software-driven, as in real MPI implementations: the
-// round in flight progresses in the background (the stack and NIC do the
-// work), but later rounds are only posted when the rank calls Test or
-// Wait. All Request methods must be called from the rank's own thread.
+// Progression needs no polling: the rank's thread posts the first round,
+// and a per-node progression tasklet posts each later round as the
+// previous one completes, so a multi-round collective finishes under
+// pure compute. Test is a pure poll and Wait parks until completion. All
+// Request methods must be called from the rank's own thread. The
+// blocking collectives never build a Request: they run the same round
+// schedule in a plain loop on the rank's thread.
 //
 // # Failure propagation
 //

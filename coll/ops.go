@@ -13,20 +13,6 @@ import (
 // order) when order matters. Ops must not retain their arguments.
 type Op func(a, b []byte) []byte
 
-// wait completes a blocking collective, panicking with rank context on
-// transport failure (collectives are programming errors when they fail,
-// not runtime conditions). The panic value is an error that wraps the
-// transport failure, so a recovering harness can still classify it —
-// errors.Is(v, comm.ErrPeerUnreachable) keeps working through the
-// panic.
-func (r *Rank) wait(what string, rq *Request) []byte {
-	res, err := rq.Wait()
-	if err != nil {
-		panic(fmt.Errorf("coll: rank %d %s: %w", r.id, what, err))
-	}
-	return res
-}
-
 // checkRoot validates a root rank.
 func (r *Rank) checkRoot(what string, root int) {
 	if root < 0 || root >= r.Size() {
@@ -49,31 +35,30 @@ func (r *Rank) collSendRecv(tag, to int, data []byte, from, n int) []byte {
 	return r.SendRecv(to, data, from, n, comm.WithTag(tag))
 }
 
-// The i* variants start a collective and return its plain Request: the
-// caller drives it (Wait advances rounds in-line). The public I*
-// wrappers hand the Request to the World's progression tasklet instead,
-// so it advances without the application's involvement. The blocking
-// collectives use the plain variants — their immediate Wait IS the
-// driver, and keeping them off the progression path keeps their event
-// schedule (and so scenario digests) identical to a world that never
-// runs a nonblocking collective.
+// Each of Barrier, Bcast, Reduce, AllReduce and AllGather has one
+// *Sched constructor resolving its algorithm to a stepper, and two
+// drivers: the blocking call runs the stepper on the rank's thread
+// (Rank.run), the I* call starts a Request the World's progression
+// tasklet drives (Rank.start). Keeping the blocking collectives off the
+// progression path keeps their event schedule (and so scenario digests)
+// identical to a world that never runs a nonblocking collective.
 
 // IBarrier starts a nonblocking barrier: its Request completes once
 // every rank has entered the barrier.
 func (r *Rank) IBarrier(opts ...Opt) *Request {
-	return r.progressed(r.iBarrier(opts...))
+	return r.start(r.barrierSched(opts))
 }
 
-func (r *Rank) iBarrier(opts ...Opt) *Request {
+func (r *Rank) barrierSched(opts []Opt) stepper {
 	if r.algorithm(OpBarrier, opts) == Tree {
-		return r.start(r.barrierTree())
+		return r.barrierTree()
 	}
-	return r.start(r.barrierDissemination())
+	return r.barrierDissemination()
 }
 
 // Barrier blocks until every rank has entered it.
 func (r *Rank) Barrier(opts ...Opt) {
-	r.wait("barrier", r.iBarrier(opts...))
+	r.run("barrier", r.barrierSched(opts))
 }
 
 // IBcast starts a nonblocking broadcast of root's data; the Request's
@@ -81,102 +66,102 @@ func (r *Rank) Barrier(opts ...Opt) {
 // rank must pass the same n, the message length; non-root ranks may
 // pass nil data.
 func (r *Rank) IBcast(root int, data []byte, n int, opts ...Opt) *Request {
-	return r.progressed(r.iBcast(root, data, n, opts...))
+	return r.start(r.bcastSched(root, data, n, opts))
 }
 
-func (r *Rank) iBcast(root int, data []byte, n int, opts ...Opt) *Request {
+func (r *Rank) bcastSched(root int, data []byte, n int, opts []Opt) stepper {
 	r.checkRoot("bcast", root)
 	if r.id == root && len(data) != n {
 		panic(fmt.Sprintf("coll: bcast root has %d bytes, promised %d", len(data), n))
 	}
 	switch r.algorithm(OpBcast, opts) {
 	case Ring:
-		return r.start(r.bcastRing(root, data, n))
+		return r.bcastRing(root, data, n)
 	case RingSegmented:
-		return r.start(r.bcastRingSeg(root, data, n, r.segment(opts)))
+		return r.bcastRingSeg(root, data, n, r.segment(opts))
 	default:
-		return r.start(r.bcastBinomial(root, data, n))
+		return r.bcastBinomial(root, data, n)
 	}
 }
 
 // Bcast distributes root's data to every rank and returns the received
 // copy (root returns data itself).
 func (r *Rank) Bcast(root int, data []byte, n int, opts ...Opt) []byte {
-	return r.wait("bcast", r.iBcast(root, data, n, opts...))
+	return r.run("bcast", r.bcastSched(root, data, n, opts))
 }
 
 // IReduce starts a nonblocking reduction of every rank's data with op;
 // the Request's result lands on root (other ranks complete with nil).
 // All contributions must have the same length.
 func (r *Rank) IReduce(root int, data []byte, op Op, opts ...Opt) *Request {
-	return r.progressed(r.iReduce(root, data, op, opts...))
+	return r.start(r.reduceSched(root, data, op, opts))
 }
 
-func (r *Rank) iReduce(root int, data []byte, op Op, opts ...Opt) *Request {
+func (r *Rank) reduceSched(root int, data []byte, op Op, opts []Opt) stepper {
 	r.checkRoot("reduce", root)
 	if r.algorithm(OpReduce, opts) == Ring {
-		return r.start(r.reduceRing(root, data, op))
+		return r.reduceRing(root, data, op)
 	}
-	return r.start(r.reduceBinomial(root, data, op))
+	return r.reduceBinomial(root, data, op)
 }
 
 // Reduce combines every rank's data with op; the result lands on root
 // (other ranks return nil).
 func (r *Rank) Reduce(root int, data []byte, op Op, opts ...Opt) []byte {
-	return r.wait("reduce", r.iReduce(root, data, op, opts...))
+	return r.run("reduce", r.reduceSched(root, data, op, opts))
 }
 
 // IAllReduce starts a nonblocking allreduce; every rank's Request
 // completes with the combined result.
 func (r *Rank) IAllReduce(data []byte, op Op, opts ...Opt) *Request {
-	return r.progressed(r.iAllReduce(data, op, opts...))
+	return r.start(r.allReduceSched(data, op, opts))
 }
 
-func (r *Rank) iAllReduce(data []byte, op Op, opts ...Opt) *Request {
+func (r *Rank) allReduceSched(data []byte, op Op, opts []Opt) stepper {
 	switch r.algorithm(OpAllReduce, opts) {
 	case RecursiveDoubling:
-		return r.start(r.allReduceRD(data, op))
+		return r.allReduceRD(data, op)
 	case RSAG:
-		return r.start(r.allReduceRSAG(data, op))
+		return r.allReduceRSAG(data, op)
 	case Ring:
 		last := r.Size() - 1
-		return r.start(then(r.reduceRing(last, data, op), func(res []byte) stepper {
+		return then(r.reduceRing(last, data, op), func(res []byte) stepper {
 			return r.bcastRing(last, res, len(data))
-		}))
+		})
 	default: // Tree: reduce to rank 0 plus broadcast.
-		return r.start(then(r.reduceBinomial(0, data, op), func(res []byte) stepper {
+		return then(r.reduceBinomial(0, data, op), func(res []byte) stepper {
 			return r.bcastBinomial(0, res, len(data))
-		}))
+		})
 	}
 }
 
 // AllReduce combines every rank's data with op and returns the result
 // on every rank.
 func (r *Rank) AllReduce(data []byte, op Op, opts ...Opt) []byte {
-	return r.wait("allreduce", r.iAllReduce(data, op, opts...))
+	return r.run("allreduce", r.allReduceSched(data, op, opts))
 }
 
 // IAllGather starts a nonblocking allgather of every rank's n-byte
 // contribution; the Request's result is the rank-major concatenation
 // (rank i's block at [i*n : (i+1)*n]). AllGather splits it.
 func (r *Rank) IAllGather(data []byte, n int, opts ...Opt) *Request {
-	return r.progressed(r.iAllGather(data, n, opts...))
+	return r.start(r.allGatherSched(data, n, opts))
 }
 
-func (r *Rank) iAllGather(data []byte, n int, opts ...Opt) *Request {
+func (r *Rank) allGatherSched(data []byte, n int, opts []Opt) stepper {
 	if len(data) != n {
 		panic(fmt.Sprintf("coll: allgather contribution has %d bytes, promised %d", len(data), n))
 	}
 	if r.algorithm(OpAllGather, opts) == Tree {
-		return r.start(r.allGatherTree(data, n))
+		return r.allGatherTree(data, n)
 	}
-	return r.start(r.allGatherRing(data, n))
+	return r.allGatherRing(data, n)
 }
 
 // AllGather collects every rank's n-byte contribution on every rank,
 // indexed by rank.
 func (r *Rank) AllGather(data []byte, n int, opts ...Opt) [][]byte {
-	concat := r.wait("allgather", r.iAllGather(data, n, opts...))
+	concat := r.run("allgather", r.allGatherSched(data, n, opts))
 	size := r.Size()
 	out := make([][]byte, size)
 	for i := 0; i < size; i++ {

@@ -103,15 +103,72 @@ func then(a stepper, makeB func(res []byte) stepper) stepper {
 	}
 }
 
-// Request is a collective in flight — the comm.Op-style handle returned
-// by the nonblocking collectives. Complete it with Wait (blocking) or
-// poll it with Test; completing more than once returns the same
-// outcome. All methods must be called from the owning rank's thread.
+// next advances st past empty rounds (ranks idle in a phase) to the
+// next round with operations to post, or to the collective's end.
+func (st stepper) next(got [][]byte) (round, []byte, bool) {
+	for {
+		rd, res, done := st(got)
+		if done || len(rd.sends) > 0 || len(rd.recvs) > 0 {
+			return rd, res, done
+		}
+		got = nil
+	}
+}
+
+// post issues a round's operations from the rank's thread, which pays
+// their posting costs, reusing the sends and recvs slices.
+func (r *Rank) post(tag int, rd round, sends, recvs []*comm.Op) ([]*comm.Op, []*comm.Op) {
+	sends, recvs = sends[:0], recvs[:0]
+	for _, m := range rd.sends {
+		sends = append(sends, r.cm.Isend(r.t, r.peer(m.to), m.data, comm.WithTag(tag)))
+	}
+	for _, v := range rd.recvs {
+		recvs = append(recvs, r.cm.Irecv(r.t, r.peer(v.from), v.n, comm.WithTag(tag)))
+	}
+	return sends, recvs
+}
+
+// run drives a blocking collective on the rank's own thread: it posts
+// each round, waits for the receives and then the sends, and feeds the
+// received data to the next round. A transport failure panics with rank
+// context (collectives are programming errors when they fail, not
+// runtime conditions); the panic value wraps the failure, so a
+// recovering harness can still classify it with errors.Is.
+func (r *Rank) run(what string, st stepper) []byte {
+	tag := r.nextCollTag()
+	var sends, recvs []*comm.Op
+	var got [][]byte
+	for {
+		rd, res, done := st.next(got)
+		if done {
+			return res
+		}
+		sends, recvs = r.post(tag, rd, sends, recvs)
+		got = make([][]byte, len(recvs))
+		for i, op := range recvs {
+			data, err := op.Wait(r.t)
+			if err != nil {
+				panic(fmt.Errorf("coll: rank %d %s: %w", r.id, what, err))
+			}
+			got[i] = data
+		}
+		for _, op := range sends {
+			if _, err := op.Wait(r.t); err != nil {
+				panic(fmt.Errorf("coll: rank %d %s: %w", r.id, what, err))
+			}
+		}
+	}
+}
+
+// Request is a nonblocking collective in flight, returned by the I*
+// calls. Complete it with Wait (blocking) or poll it with Test;
+// completing more than once returns the same outcome. All methods must
+// be called from the owning rank's thread.
 //
-// Requests returned by the public I* calls are driven by their World's
-// progression tasklet: as each round's operations complete, the tasklet
-// posts the next round, so multi-round collectives keep moving while the
-// application computes — no Test polling required.
+// The World's progression tasklet drives every Request: as each round's
+// operations complete, the tasklet posts the next round, so multi-round
+// collectives keep moving while the application computes — no Test
+// polling required.
 type Request struct {
 	r      *Rank
 	step   stepper
@@ -121,21 +178,21 @@ type Request struct {
 	result []byte
 	err    error
 	done   bool
-	// progressed marks a Request owned by the World's progression
-	// tasklet; doneC is its completion broadcast, which Wait parks on.
-	progressed bool
-	doneC      *sim.Cond
+	doneC  *sim.Cond // completion broadcast, which Wait parks on
 }
 
-// progressed hands a freshly started Request to the World's progression
-// tasklet, which advances its rounds as their operations complete. The
-// first round was already posted (and charged) on the rank's thread;
-// subsequent rounds post asynchronously from the tasklet.
-func (r *Rank) progressed(rq *Request) *Request {
-	if rq.done {
-		return rq // completed at start (e.g. single-rank world): nothing to drive
+// start begins a nonblocking collective on its own tag lane: it posts
+// the first round on the rank's thread (which pays its posting costs)
+// and hands the Request to the node's progression tasklet, which posts
+// the later rounds.
+func (r *Rank) start(st stepper) *Request {
+	rq := &Request{r: r, step: st, tag: r.nextCollTag()}
+	rd, res, done := st.next(nil)
+	if done {
+		rq.result, rq.done = res, true // e.g. a single-rank world: nothing to drive
+		return rq
 	}
-	rq.progressed = true
+	rq.sends, rq.recvs = r.post(rq.tag, rd, nil, nil)
 	// The completion cond lives on the rank's node: Broadcast runs from
 	// the node's progression tasklet and Wait parks the rank's own
 	// thread.
@@ -144,55 +201,22 @@ func (r *Rank) progressed(rq *Request) *Request {
 	return rq
 }
 
-// start builds a Request on its own collective tag and posts the first
-// round.
-func (r *Rank) start(st stepper) *Request {
-	rq := &Request{r: r, step: st, tag: r.nextCollTag()}
-	rq.advance(nil)
-	return rq
-}
-
 // advance feeds the previous round's receives to the stepper and posts
-// the next non-empty round (empty rounds — ranks idle in a phase — are
-// skipped immediately). A progressed Request posts through the async
-// variants — advance then runs on the progression tasklet, where there
-// is no rank thread to charge, so the posting cost lands on the helper
-// threads instead.
+// the next round. It runs on the progression tasklet, where there is no
+// rank thread to charge, so it posts through the async variants and the
+// posting cost lands on the helper threads instead.
 func (rq *Request) advance(got [][]byte) {
-	for {
-		rd, res, done := rq.step(got)
-		if done {
-			rq.result, rq.done = res, true
-			rq.sends, rq.recvs = nil, nil
-			return
-		}
-		got = nil
-		if len(rd.sends) == 0 && len(rd.recvs) == 0 {
-			continue
-		}
-		rq.sends = rq.sends[:0]
-		rq.recvs = rq.recvs[:0]
-		for _, m := range rd.sends {
-			var op *comm.Op
-			if rq.progressed {
-				op = rq.r.cm.IsendAsync(rq.r.peer(m.to), m.data, comm.WithTag(rq.tag))
-			} else {
-				//pushpull:lint-allow taskletblock guarded by rq.progressed: this branch runs only when the owning rank thread pumps the request, never from the progression tasklet
-				op = rq.r.cm.Isend(rq.r.t, rq.r.peer(m.to), m.data, comm.WithTag(rq.tag))
-			}
-			rq.sends = append(rq.sends, op)
-		}
-		for _, v := range rd.recvs {
-			var op *comm.Op
-			if rq.progressed {
-				op = rq.r.cm.IrecvAsync(rq.r.peer(v.from), v.n, comm.WithTag(rq.tag))
-			} else {
-				//pushpull:lint-allow taskletblock guarded by rq.progressed: this branch runs only when the owning rank thread pumps the request, never from the progression tasklet
-				op = rq.r.cm.Irecv(rq.r.t, rq.r.peer(v.from), v.n, comm.WithTag(rq.tag))
-			}
-			rq.recvs = append(rq.recvs, op)
-		}
+	rd, res, done := rq.step.next(got)
+	if done {
+		rq.finish(res, nil)
 		return
+	}
+	rq.sends, rq.recvs = rq.sends[:0], rq.recvs[:0]
+	for _, m := range rd.sends {
+		rq.sends = append(rq.sends, rq.r.cm.IsendAsync(rq.r.peer(m.to), m.data, comm.WithTag(rq.tag)))
+	}
+	for _, v := range rd.recvs {
+		rq.recvs = append(rq.recvs, rq.r.cm.IrecvAsync(rq.r.peer(v.from), v.n, comm.WithTag(rq.tag)))
 	}
 }
 
@@ -200,44 +224,32 @@ func (rq *Request) advance(got [][]byte) {
 // the round in flight completes. Operation conds are broadcast-only, so
 // the registrations coexist with each other and with parked waiters.
 func (rq *Request) subscribe(w sim.Waiter) {
-	for _, op := range rq.sends {
-		op.Subscribe(w)
-	}
-	for _, op := range rq.recvs {
-		op.Subscribe(w)
+	for _, ops := range [2][]*comm.Op{rq.sends, rq.recvs} {
+		for _, op := range ops {
+			op.Subscribe(w)
+		}
 	}
 }
 
-// pump drives a progressed Request one step from the progression
-// tasklet: if the round in flight has fully completed, it posts the next
-// round and subscribes w to it. It reports true once the collective is
-// done (broadcasting doneC to release waiters), false while rounds
-// remain — in which case w stays subscribed to the pending operations
-// and will be woken again.
+// pump drives the Request one step from the progression tasklet: if the
+// round in flight has fully completed, it posts the next round and
+// subscribes w to it. It reports true once the collective is done, false
+// while rounds remain — in which case w stays subscribed to the pending
+// operations and will be woken again.
 func (rq *Request) pump(w sim.Waiter) bool {
 	if rq.done {
 		return true
 	}
-	for _, op := range rq.sends {
-		done, _, err := op.Test()
-		if err != nil {
-			rq.fail(err)
-			rq.doneC.Broadcast()
-			return true
-		}
-		if !done {
-			return false
-		}
-	}
-	for _, op := range rq.recvs {
-		done, _, err := op.Test()
-		if err != nil {
-			rq.fail(err)
-			rq.doneC.Broadcast()
-			return true
-		}
-		if !done {
-			return false
+	for _, ops := range [2][]*comm.Op{rq.sends, rq.recvs} {
+		for _, op := range ops {
+			done, _, err := op.Test()
+			if err != nil {
+				rq.finish(nil, err)
+				return true
+			}
+			if !done {
+				return false
+			}
 		}
 	}
 	got := make([][]byte, len(rq.recvs))
@@ -247,98 +259,38 @@ func (rq *Request) pump(w sim.Waiter) bool {
 	}
 	rq.advance(got)
 	if rq.done {
-		rq.doneC.Broadcast()
 		return true
 	}
 	rq.subscribe(w)
 	return false
 }
 
-func (rq *Request) fail(err error) {
-	rq.err = err
-	rq.done = true
+// finish ends the collective with its result or failure and broadcasts
+// doneC to release waiters.
+func (rq *Request) finish(res []byte, err error) {
+	rq.result, rq.err, rq.done = res, err, true
 	rq.sends, rq.recvs = nil, nil
+	rq.doneC.Broadcast()
 }
 
 // Wait parks the rank until the collective completes and returns its
-// result: the received data for Bcast, the reduction on participating
-// ranks for Reduce/AllReduce, the rank-major concatenation for
-// AllGather, nil for Barrier.
+// result: the received data for IBcast, the reduction on participating
+// ranks for IReduce/IAllReduce, the rank-major concatenation for
+// IAllGather, nil for IBarrier.
 func (rq *Request) Wait() ([]byte, error) {
-	if rq.progressed {
-		// The progression tasklet advances the rounds; just park on the
-		// completion broadcast.
-		for !rq.done {
-			rq.doneC.Wait(rq.r.t.P)
-			rq.r.t.Exec(rq.r.t.Node.Cfg.WakeLatency)
-		}
-		return rq.result, rq.err
-	}
 	for !rq.done {
-		got := make([][]byte, len(rq.recvs))
-		for i, op := range rq.recvs {
-			data, err := op.Wait(rq.r.t)
-			if err != nil {
-				rq.fail(err)
-				return nil, rq.err
-			}
-			got[i] = data
-		}
-		for _, op := range rq.sends {
-			if _, err := op.Wait(rq.r.t); err != nil {
-				rq.fail(err)
-				return nil, rq.err
-			}
-		}
-		rq.advance(got)
+		rq.doneC.Wait(rq.r.t.P)
+		rq.r.t.Exec(rq.r.t.Node.Cfg.WakeLatency)
 	}
 	return rq.result, rq.err
 }
 
 // Test reports whether the collective has completed, without blocking.
-// Requests from the public I* calls advance in the background (the
-// World's progression tasklet posts each next round as the previous one
-// completes), so Test is a pure poll — calling it inside compute phases
-// is never needed for progress, only for checking.
+// The progression tasklet advances the rounds in the background, so
+// Test is a pure poll — calling it inside compute phases is never
+// needed for progress, only for checking.
 func (rq *Request) Test() (bool, []byte, error) {
-	if rq.progressed {
-		return rq.done, rq.result, rq.err
-	}
-	// A plain (internal, blocking-wrapper) Request has no progression
-	// tasklet: polling advances it, posting the next round when the one
-	// in flight has completed.
-	for !rq.done {
-		for _, op := range rq.sends {
-			done, _, err := op.Test()
-			if err != nil {
-				rq.fail(err)
-				return true, nil, rq.err
-			}
-			if !done {
-				return false, nil, nil
-			}
-		}
-		// Confirm every receive completed before collecting payloads, so
-		// a poll that finds the round still in flight costs no allocation
-		// — Test is called from inside compute loops.
-		for _, op := range rq.recvs {
-			done, _, err := op.Test()
-			if err != nil {
-				rq.fail(err)
-				return true, nil, rq.err
-			}
-			if !done {
-				return false, nil, nil
-			}
-		}
-		got := make([][]byte, len(rq.recvs))
-		for i, op := range rq.recvs {
-			_, data, _ := op.Test()
-			got[i] = data
-		}
-		rq.advance(got)
-	}
-	return true, rq.result, rq.err
+	return rq.done, rq.result, rq.err
 }
 
 // WaitAll completes every Request in order and returns the first error.

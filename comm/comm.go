@@ -268,42 +268,42 @@ func (ch *Channel) RecvMsg(t *Thread, maxLen int, opts ...Option) ([]byte, Statu
 // its Op. The data must not be modified until the Op completes.
 func (ch *Channel) Isend(t *Thread, data []byte, opts ...Option) *Op {
 	if !ch.out {
-		return failedOp(fmt.Errorf("comm: send on incoming channel %v", ch.ID()))
+		return pushpull.FailedRequest(fmt.Errorf("comm: send on incoming channel %v", ch.ID()))
 	}
 	cfg := resolve(opts)
-	return &Op{req: ch.c.ep.IsendOpt(t, ch.peer, ch.addr(cfg, len(data)), data,
-		pushpull.SendOptions{Tag: cfg.tag, BTP: cfg.btp})}
+	return ch.c.ep.IsendOpt(t, ch.peer, ch.addr(cfg, len(data)), data,
+		pushpull.SendOptions{Tag: cfg.tag, BTP: cfg.btp})
 }
 
 // Irecv starts a nonblocking receive on this incoming channel and
 // returns its Op.
 func (ch *Channel) Irecv(t *Thread, maxLen int, opts ...Option) *Op {
 	if ch.out {
-		return failedOp(fmt.Errorf("comm: receive on outgoing channel %v", ch.ID()))
+		return pushpull.FailedRequest(fmt.Errorf("comm: receive on outgoing channel %v", ch.ID()))
 	}
 	cfg := resolve(opts)
-	return &Op{req: ch.c.ep.IrecvOpt(t, ch.peer, ch.addr(cfg, maxLen), maxLen,
-		pushpull.RecvOptions{Tag: cfg.tag})}
+	return ch.c.ep.IrecvOpt(t, ch.peer, ch.addr(cfg, maxLen), maxLen,
+		pushpull.RecvOptions{Tag: cfg.tag})
 }
 
 // IsendAsync starts a nonblocking send with no posting thread (see
 // Comm.IsendAsync).
 func (ch *Channel) IsendAsync(data []byte, opts ...Option) *Op {
 	if !ch.out {
-		return failedOp(fmt.Errorf("comm: send on incoming channel %v", ch.ID()))
+		return pushpull.FailedRequest(fmt.Errorf("comm: send on incoming channel %v", ch.ID()))
 	}
 	cfg := resolve(opts)
-	return &Op{req: ch.c.ep.IsendAsyncOpt(ch.peer, ch.addr(cfg, len(data)), data,
-		pushpull.SendOptions{Tag: cfg.tag, BTP: cfg.btp})}
+	return ch.c.ep.IsendAsyncOpt(ch.peer, ch.addr(cfg, len(data)), data,
+		pushpull.SendOptions{Tag: cfg.tag, BTP: cfg.btp})
 }
 
 // IrecvAsync starts a nonblocking receive with no posting thread (see
 // Comm.IsendAsync).
 func (ch *Channel) IrecvAsync(maxLen int, opts ...Option) *Op {
 	if ch.out {
-		return failedOp(fmt.Errorf("comm: receive on outgoing channel %v", ch.ID()))
+		return pushpull.FailedRequest(fmt.Errorf("comm: receive on outgoing channel %v", ch.ID()))
 	}
 	cfg := resolve(opts)
-	return &Op{req: ch.c.ep.IrecvAsyncOpt(ch.peer, ch.addr(cfg, maxLen), maxLen,
-		pushpull.RecvOptions{Tag: cfg.tag})}
+	return ch.c.ep.IrecvAsyncOpt(ch.peer, ch.addr(cfg, maxLen), maxLen,
+		pushpull.RecvOptions{Tag: cfg.tag})
 }

@@ -1,74 +1,20 @@
 package comm
 
-import (
-	"pushpull/internal/pushpull"
-	"pushpull/internal/sim"
-)
+import "pushpull/internal/pushpull"
 
 // Op is the one request type of the API: every nonblocking operation —
 // send or receive — returns an Op, completed with Wait (blocking),
 // polled with Test, or batched through WaitAll. Completing an Op more
-// than once is valid and returns the same outcome.
-type Op struct {
-	req *pushpull.Request
-	// err short-circuits an operation that failed before it started
-	// (e.g. a send posted on an incoming channel).
-	err error
-}
-
-// failedOp wraps an immediate error in a completed Op, so misuse
-// surfaces through the normal Wait/Test flow instead of a nil handle.
-func failedOp(err error) *Op { return &Op{err: err} }
-
-// Wait parks the calling thread until the operation completes. For a
-// receive it returns the received bytes; for a send the data is nil.
-func (op *Op) Wait(t *Thread) ([]byte, error) {
-	if op.err != nil {
-		return nil, op.err
-	}
-	return op.req.Wait(t)
-}
-
-// Test reports whether the operation has completed, without blocking.
-// Once it returns true, data and err are the operation's outcome.
-func (op *Op) Test() (done bool, data []byte, err error) {
-	if op.err != nil {
-		return true, nil, op.err
-	}
-	return op.req.Test()
-}
-
-// Subscribe registers w (a process or tasklet) for one wake when the
-// operation completes; it reports false, without registering, if the Op
-// is already complete (including an Op that failed before it started).
-// Infrastructure layered on comm (the collective progression tasklet in
-// package coll) uses it to sleep between rounds instead of polling Test.
-func (op *Op) Subscribe(w sim.Waiter) bool {
-	if op.err != nil {
-		return false
-	}
-	return op.req.Subscribe(w)
-}
-
+// than once is valid and returns the same outcome. An operation that
+// fails before it starts (e.g. a send posted on an incoming channel)
+// returns an Op that is already complete with the error.
+//
 // Status reports the completed operation's matched envelope (source and
-// tag) — informative after an AnySource or AnyTag receive. Status.Valid
-// is false until the Op completes; a failed Op (including one that
-// failed before it started, e.g. a send posted on an incoming channel)
-// reports its error in Status.Err instead of a zero envelope.
-func (op *Op) Status() Status {
-	if op.err != nil {
-		return Status{Err: op.err}
-	}
-	return op.req.Status()
-}
+// tag) — informative after an AnySource or AnyTag receive; Subscribe
+// registers a process or tasklet for one wake at completion, which
+// infrastructure layered on comm (the collective progression tasklet
+// in package coll) uses to sleep between rounds instead of polling.
+type Op = pushpull.Request
 
 // WaitAll completes every Op in order and returns the first error.
-func WaitAll(t *Thread, ops ...*Op) error {
-	var first error
-	for _, op := range ops {
-		if _, err := op.Wait(t); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func WaitAll(t *Thread, ops ...*Op) error { return pushpull.WaitAll(t, ops...) }

@@ -147,9 +147,8 @@ func (a *Artifact) JSON() []byte {
 	return append(out, '\n')
 }
 
-// ParseArtifact decodes an artifact and verifies its digest against the
-// body, so a hand-edited or truncated file is rejected before it can
-// gate anything.
+// ParseArtifact decodes an artifact and checks its schema version. It
+// does not verify the digest; LoadArtifact does.
 func ParseArtifact(data []byte) (*Artifact, error) {
 	var a Artifact
 	if err := json.Unmarshal(data, &a); err != nil {
@@ -161,9 +160,7 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 	return &a, nil
 }
 
-// VerifyDigest recomputes the body digest and reports a mismatch. Kept
-// separate from ParseArtifact: compare wants to *see* a perturbed
-// digest (and fail hard on it), not refuse to load the file.
+// VerifyDigest recomputes the body digest and reports a mismatch.
 func (a *Artifact) VerifyDigest() error {
 	sum := sha256.Sum256(a.body())
 	if got := hex.EncodeToString(sum[:]); got != a.Digest {
@@ -238,13 +235,18 @@ func (s Store) List() ([]Entry, error) {
 	return out, nil
 }
 
-// LoadArtifact reads one artifact from a path.
+// LoadArtifact reads one artifact from a path and verifies its digest
+// against the body, so a hand-edited or truncated file is rejected
+// before it can gate a compare or feed a show.
 func LoadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	a, err := ParseArtifact(data)
+	if err == nil {
+		err = a.VerifyDigest()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

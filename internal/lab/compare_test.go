@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -169,6 +171,26 @@ func TestArtifactTamperDetection(t *testing.T) {
 	findMetric(t, a, "pingpong", "bytes").Value++
 	if err := a.VerifyDigest(); err == nil {
 		t.Errorf("tampered artifact passes digest verification")
+	}
+}
+
+// TestLoadArtifactRejectsTampered: the loader compare and show use
+// refuses a file whose body no longer matches its digest.
+func TestLoadArtifactRejectsTampered(t *testing.T) {
+	a := capture(t)
+	path := filepath.Join(t.TempDir(), "a.json")
+	if err := os.WriteFile(path, a.JSON(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArtifact(path); err != nil {
+		t.Fatalf("clean artifact fails to load: %v", err)
+	}
+	findMetric(t, a, "pingpong", "virtualUS").Value *= 1.01
+	if err := os.WriteFile(path, a.JSON(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArtifact(path); err == nil {
+		t.Errorf("LoadArtifact accepted an artifact whose body does not match its digest")
 	}
 }
 

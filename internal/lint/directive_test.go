@@ -7,9 +7,9 @@ import (
 )
 
 // TestDirectiveValidation pins the directive contract: unknown analyzer
-// names and empty reasons are reported instead of suppressing, and a
-// stack of directives suppresses each named analyzer on the statement
-// that follows.
+// names and empty reasons are reported instead of suppressing, a stack
+// of directives suppresses each named analyzer on the statement that
+// follows, and a directive that suppresses nothing is reported.
 func TestDirectiveValidation(t *testing.T) {
 	prog, err := LoadDir(filepath.Join("testdata", "src", "directives"))
 	if err != nil {
@@ -30,6 +30,8 @@ func TestDirectiveValidation(t *testing.T) {
 		"walltime call to time.Sleep: wall",
 		// stacked: nothing — both findings on the return line are
 		// suppressed by their respective directives.
+		// staleAllow: the directive covers a line with no finding.
+		"directive pushpull:lint-allow globalrand directive suppresses",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d findings %v, want %d", len(got), got, len(want))
@@ -37,6 +39,21 @@ func TestDirectiveValidation(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("finding %d: got %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStaleDirectiveNeedsItsAnalyzer: a directive is only stale
+// relative to its own analyzer's findings, so a run that skips that
+// analyzer cannot judge it and must not report it.
+func TestStaleDirectiveNeedsItsAnalyzer(t *testing.T) {
+	prog, err := LoadDir(filepath.Join("testdata", "src", "directives"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range Run(prog, []*Analyzer{walltimeAnalyzer}) {
+		if strings.Contains(f.Message, "suppresses no finding") {
+			t.Errorf("walltime-only run reported a stale directive: %s", f)
 		}
 	}
 }

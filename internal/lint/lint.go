@@ -34,7 +34,8 @@
 //
 // directive whose reason must be non-empty; the directive suppresses
 // findings of that analyzer on its own line and on the line following
-// its comment group.
+// its comment group. A directive that suppresses no finding of an
+// analyzer that ran is reported under the "directive" name.
 package lint
 
 import (
@@ -164,15 +165,19 @@ func (p *Program) finding(analyzer string, pos token.Pos, format string, args ..
 }
 
 // Run executes the given analyzers over the program, validates and
-// applies //pushpull:lint-allow directives, and returns the surviving
+// applies //pushpull:lint-allow directives, reports the directives of
+// those analyzers that suppressed nothing, and returns the surviving
 // findings in deterministic (file, line, col, analyzer, message) order.
 func Run(prog *Program, analyzers []*Analyzer) []Finding {
 	var all []Finding
+	ran := make(map[string]bool)
 	for _, a := range analyzers {
 		all = append(all, a.Run(prog)...)
+		ran[a.Name] = true
 	}
 	dirs, problems := collectDirectives(prog)
 	all = append(suppress(all, dirs), problems...)
+	all = append(all, stale(prog, dirs, ran)...)
 	SortFindings(all)
 	return all
 }

@@ -2,9 +2,10 @@ package mem
 
 import "pushpull/internal/sim"
 
-// Copier performs timed memory copies on behalf of simulation processes.
-// A copy occupies both the calling thread (the caller blocks for the copy
-// duration) and the memory bus (concurrent copies on one node serialize).
+// Copier prices a node's memory copies and programmed-I/O stores. The
+// charging happens in smp.Thread.Copy and PIO: a transfer occupies both
+// the calling thread and the memory bus (concurrent transfers on one node
+// serialize).
 type Copier struct {
 	bus *Bus
 }
@@ -26,14 +27,6 @@ func (c *Copier) CopyCost(n int) sim.Duration {
 	return cfg.CopyStartup + TransferTime(n, rate)
 }
 
-// Copy blocks p for the time it takes to copy n bytes, holding the bus.
-func (c *Copier) Copy(p *sim.Process, n int) {
-	if n <= 0 {
-		return
-	}
-	c.bus.Occupy(p, c.CopyCost(n))
-}
-
 // PIOCost reports the duration of a programmed-I/O store of n bytes into
 // uncached device memory (e.g. user-level copy into the NIC outgoing FIFO).
 func (c *Copier) PIOCost(n int) sim.Duration {
@@ -43,14 +36,3 @@ func (c *Copier) PIOCost(n int) sim.Duration {
 	cfg := c.bus.cfg
 	return cfg.CopyStartup + TransferTime(n, cfg.PIOBytesPerSec)
 }
-
-// PIO blocks p for a programmed-I/O transfer of n bytes, holding the bus.
-func (c *Copier) PIO(p *sim.Process, n int) {
-	if n <= 0 {
-		return
-	}
-	c.bus.Occupy(p, c.PIOCost(n))
-}
-
-// Bus returns the bus the copier charges transfers to.
-func (c *Copier) Bus() *Bus { return c.bus }

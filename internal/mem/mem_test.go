@@ -77,7 +77,7 @@ func TestCopyOccupiesBusSerially(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
 		e.Go("copier", func(p *sim.Process) {
-			c.Copy(p, 1<<20)
+			bus.Occupy(p, c.CopyCost(1<<20))
 			ends = append(ends, p.Now())
 		})
 	}

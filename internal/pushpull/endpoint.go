@@ -191,7 +191,7 @@ func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, buf
 	for op.err == nil {
 		if m := op.msg; m != nil {
 			ep.drainBuffered(t, m)
-			ep.maybeStartPull(t, m, false)
+			ep.maybeStartPull(t, m)
 			if m.complete {
 				break
 			}
@@ -430,10 +430,8 @@ func (ep *Endpoint) drainBuffered(t *smp.Thread, m *inboundMsg) {
 
 // maybeStartPull launches the pull phase once: internode it sends the
 // acknowledgement / pull request; intranode it dispatches the pull kernel
-// thread. fromHandler distinguishes the reception-handler-initiated pull
-// (Push-and-Acknowledge Overlapping) from the receive-process-initiated
-// one.
-func (ep *Endpoint) maybeStartPull(t *smp.Thread, m *inboundMsg, fromHandler bool) {
+// thread.
+func (ep *Endpoint) maybeStartPull(t *smp.Thread, m *inboundMsg) {
 	if m.pullSent || m.op == nil || m.pullRemainder() <= 0 {
 		return
 	}

@@ -226,7 +226,7 @@ func (s *Stack) deliverFrag(t *smp.Thread, f fragMsg) bool {
 		// Push-and-Acknowledge Overlapping: the handler answers the
 		// first pushed fragment with the pull request immediately, while
 		// later pushed fragments are still on the wire.
-		ep.maybeStartPull(t, m, true)
+		ep.maybeStartPull(t, m)
 		if m.received == m.total {
 			ep.complete(t, m)
 		}

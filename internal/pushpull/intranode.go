@@ -64,7 +64,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 		if m.pullRemainder() > 0 {
 			// The send party starts the pull phase itself: the receive
 			// information is already registered (arrow 3b of Figure 1).
-			peer.maybeStartPull(t, m, false)
+			peer.maybeStartPull(t, m)
 		} else {
 			s.finishSend(ep, op)
 			peer.complete(t, m)

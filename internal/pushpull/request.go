@@ -25,6 +25,14 @@ type Request struct {
 	err      error
 }
 
+// FailedRequest returns a Request that is already complete with err: an
+// operation that failed before it started (say, a send posted on an
+// incoming channel) surfaces through the normal Wait/Test/Status flow
+// instead of a nil handle.
+func FailedRequest(err error) *Request {
+	return &Request{complete: true, status: Status{Err: err}, err: err}
+}
+
 // Isend starts a nonblocking tag-0 send of data (placed at addr in the
 // endpoint's space) to process to, returning immediately with a Request.
 // The data buffer must not be modified until the request completes.

@@ -10,7 +10,7 @@ import (
 
 // TestDeadLinkAllReduceFailsFast pins the end-to-end failure chain: a
 // collective over a permanently dead link must surface the structured
-// unreachable-peer error through coll.Request → comm.Op → Run within
+// unreachable-peer error through comm.Op → coll.Rank.AllReduce → Run within
 // the retransmission budget — not stall until the virtual-time budget
 // kills the run as a generic livelock.
 func TestDeadLinkAllReduceFailsFast(t *testing.T) {

@@ -83,8 +83,7 @@ type Engine struct {
 	stopped bool
 	rng     *Rand
 
-	nproc int        // live (not yet finished) processes
-	procs []*Process // registry of live processes, for Shutdown
+	procs []*Process // registry of live processes, for Live and Shutdown
 	// dying flips while Shutdown unwinds parked processes: park resumes
 	// into a poison panic instead of returning to the model.
 	dying     bool
@@ -243,7 +242,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 func (e *Engine) Pending() int { return len(e.events) + (len(e.dq) - e.dqHead) }
 
 // Live reports the number of live (started or pending) processes.
-func (e *Engine) Live() int { return e.nproc }
+func (e *Engine) Live() int { return len(e.procs) }
 
 // unregister removes p from the live-process registry by swapping the
 // last entry into its slot. It runs either in engine context (never-
@@ -281,7 +280,6 @@ func (e *Engine) Shutdown() {
 			// the event set below disposes of the pending start.
 			p.done = true
 			e.unregister(p)
-			e.nproc--
 			continue
 		}
 		// The goroutine is blocked in park's resume receive (a started,

@@ -55,7 +55,6 @@ func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
 		p.wakePending = false
 		p.transfer()
 	}
-	e.nproc++
 	p.pidx = len(e.procs)
 	e.procs = append(e.procs, p)
 	e.Schedule(d, func() {
@@ -74,7 +73,6 @@ func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
 				}
 				p.done = true
 				p.e.unregister(p)
-				p.e.nproc--
 				p.e.yield <- struct{}{}
 			}()
 			body(p)

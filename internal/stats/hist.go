@@ -22,16 +22,7 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo == len(sorted)-1 {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return percentileSorted(sorted, p)
 }
 
 // Histogram is a fixed-width binning of samples, for jitter analysis of
