@@ -57,7 +57,6 @@ leak-check:
 	$(GO) test ./internal/scenario -run 'TestSweepGoroutineLeak|TestRunShutdownAfterSuccess' -count=1
 	$(GO) test ./internal/sim -run TestShutdown -count=1
 
-# fuzz gives the go-back-N delivery property a short fuzzing budget.
 # benchmark-check covers the benchmark/ module, which is its own Go
 # module: the root `go test ./...`, vet and lint never compile it, yet
 # it calls internal APIs (lab.GoBenchmarks, smp, nic, ether, trace).
@@ -66,9 +65,14 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/pushpull-lint -dir benchmark ./... pushpull/...
 
+# fuzz gives the go-back-N delivery property and the spec and sweep
+# parsers short fuzzing budgets (no panic, no out-of-memory; an
+# accepted sweep expands).
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGoBackNDelivery -fuzztime 30s ./internal/gbn/
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 15s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 15s ./internal/scenario/
 
 # scenarios regenerates the builtin scenario results as JSON.
 .PHONY: scenarios
@@ -99,10 +103,13 @@ examples:
 # sweep-check proves parallelism never changes results: each builtin CI
 # grid must produce the same aggregate digest on 1 worker and on a real
 # worker pool. smoke-grid covers the point-to-point patterns; coll-smoke
-# covers the collective family's algorithm axis; fault-smoke covers the
-# faultPlans axis (degradation must be as deterministic as traffic);
-# proto-grid covers the transport axes (procsPerNode, rtoMs, gbnWindow)
-# on a lossy wire. The parallel leg pins 8 workers, not GOMAXPROCS: on a
+# covers the collective family's traffic.algorithm axis; fault-smoke
+# covers an axis of inline fault plans (degradation must be as
+# deterministic as traffic); proto-grid covers the transport fields
+# (topology.procsPerNode, protocol.rtoMs, protocol.gbnWindow) on a lossy
+# wire. Their aggregate digests are also pinned in
+# internal/scenario/testdata/digests.json (TestBuiltinSweepDigestsPinned).
+# The parallel leg pins 8 workers, not GOMAXPROCS: on a
 # single-core CI box GOMAXPROCS resolves to 1 and would compare two
 # serial runs, never exercising the pool at all.
 

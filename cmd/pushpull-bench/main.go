@@ -9,10 +9,16 @@
 // With no experiment arguments, every experiment runs. Experiments are
 // independent simulations, so they execute across a worker pool (one
 // engine per goroutine, -workers, default GOMAXPROCS) and print in the
-// requested order with identical numbers for any worker count. Each
-// experiment prints one or more tables whose rows correspond to the
-// paper's figure axes; EXPERIMENTS.md records the side-by-side
-// paper-vs-measured readings.
+// requested order with identical numbers for any worker count; the
+// latency curves also run their points across the pool. Each experiment
+// prints one or more tables whose rows correspond to the paper's figure
+// axes, followed (without -csv) by the paper's own reading.
+//
+// -iters caps the timed iterations (messages) of every point, 1000 by
+// default as in the paper. Experiments that need fewer use fewer — the
+// Figure 6 tests 200, the interrupt, trigger and polling ablations 500 —
+// and the multi-run cells scale it down (bandwidth peaks use a tenth or
+// a quarter).
 package main
 
 import (
@@ -26,7 +32,7 @@ import (
 )
 
 func main() {
-	iters := flag.Int("iters", 1000, "timed iterations per point (paper: 1000)")
+	iters := flag.Int("iters", 1000, "cap on the timed iterations (messages) of every point (paper: 1000)")
 	workers := flag.Int("workers", 0, "experiments run concurrently on this many workers (0 = GOMAXPROCS); never changes the numbers")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -38,6 +44,11 @@ func main() {
 			fmt.Printf("%-20s %s\n", e.ID, e.Title)
 		}
 		return
+	}
+
+	if *iters < 1 {
+		fmt.Fprintln(os.Stderr, "pushpull-bench: -iters must be at least 1")
+		os.Exit(2)
 	}
 
 	ids := flag.Args()

@@ -1,7 +1,6 @@
 // Command pushpull-lab orchestrates studies — named compositions of
-// scenarios, sweeps and bench experiments — and maintains the versioned
-// result store that turns the repo's perf trajectory into checked,
-// diffable artifacts.
+// scenarios and sweeps — and maintains the versioned result store that
+// turns the repo's perf trajectory into checked, diffable artifacts.
 //
 // Usage:
 //

@@ -77,7 +77,7 @@ func main() {
 		sweeps := scenario.BuiltinSweeps()
 		sort.Slice(sweeps, func(i, j int) bool { return sweeps[i].Name < sweeps[j].Name })
 		for _, sw := range sweeps {
-			fmt.Printf("%-12s %4d points  %s\n", sw.Name, sw.Grid.Points(), sw.Description)
+			fmt.Printf("%-20s %4d points  %s\n", sw.Name, sw.Grid.Points(), sw.Description)
 		}
 	case "sweep":
 		sweepCmd(os.Args[2:])

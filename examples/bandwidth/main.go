@@ -15,8 +15,7 @@ import (
 	"fmt"
 
 	"pushpull/internal/bench"
-	"pushpull/internal/cluster"
-	"pushpull/internal/pushpull"
+	"pushpull/internal/scenario"
 )
 
 func main() {
@@ -32,19 +31,18 @@ func main() {
 	fmt.Println("== intranode (cross-space zero buffer, one copy) ==")
 	fmt.Printf("%-10s %12s\n", "size(B)", "MB/s")
 	for _, n := range sizes {
-		opts := pushpull.DefaultOptions()
-		opts.PushedBufBytes = 64 << 10
-		cfg := cluster.DefaultConfig()
-		cfg.Opts = opts
-		w := bench.Workload{Cluster: cfg, Intra: true, Size: n, Iters: intraIters}
-		fmt.Printf("%-10d %12.1f\n", n, bench.Bandwidth(w))
+		spec := scenario.DefaultSpec()
+		spec.Topology = scenario.Topology{Kind: "intranode", Nodes: 1, ProcsPerNode: 2}
+		spec.Protocol.PushedBufBytes = 64 << 10
+		spec.Traffic.Size, spec.Traffic.Messages = n, intraIters
+		fmt.Printf("%-10d %12.1f\n", n, bench.Bandwidth(spec))
 	}
 
 	fmt.Println("\n== internode (100 Mbit/s Fast Ethernet) ==")
 	fmt.Printf("%-10s %12s\n", "size(B)", "MB/s")
 	for _, n := range sizes {
-		cfg := cluster.DefaultConfig()
-		w := bench.Workload{Cluster: cfg, Size: n, Iters: interIters}
-		fmt.Printf("%-10d %12.2f\n", n, bench.Bandwidth(w))
+		spec := scenario.DefaultSpec()
+		spec.Traffic.Size, spec.Traffic.Messages = n, interIters
+		fmt.Printf("%-10d %12.2f\n", n, bench.Bandwidth(spec))
 	}
 }

@@ -16,8 +16,7 @@ import (
 	"fmt"
 
 	"pushpull/internal/bench"
-	"pushpull/internal/cluster"
-	"pushpull/internal/pushpull"
+	"pushpull/internal/scenario"
 )
 
 func main() {
@@ -27,19 +26,18 @@ func main() {
 	if *short {
 		iters = 6
 	}
-	type scenario struct {
+	// Paper §5.3: early receiver x=500k/y=100k NOPs; late x=100k/y=300k.
+	tests := []struct {
 		name string
 		x, y int64
-	}
-	// Paper §5.3: early receiver x=500k/y=100k NOPs; late x=100k/y=300k.
-	scenarios := []scenario{
+	}{
 		{"early receiver (x=500k, y=100k NOPs)", 500_000, 100_000},
 		{"late receiver  (x=100k, y=300k NOPs)", 100_000, 300_000},
 	}
-	modes := []pushpull.Mode{pushpull.PushZero, pushpull.PushPull, pushpull.PushAll}
+	modes := []string{"push-zero", "push-pull", "push-all"}
 	sizes := []int{1024, 3072, 8192}
 
-	for _, sc := range scenarios {
+	for _, sc := range tests {
 		fmt.Printf("== %s ==\n", sc.name)
 		fmt.Printf("%-10s", "size(B)")
 		for _, m := range modes {
@@ -49,13 +47,12 @@ func main() {
 		for _, n := range sizes {
 			fmt.Printf("%-10d", n)
 			for _, m := range modes {
-				opts := pushpull.DefaultOptions()
-				opts.Mode = m
-				opts.PushedBufBytes = 4096 // the paper's Fig. 6 buffer
-				cfg := cluster.DefaultConfig()
-				cfg.Opts = opts
-				w := bench.Workload{Cluster: cfg, Size: n, Iters: iters}
-				fmt.Printf(" %14.1f", bench.EarlyLate(w, sc.x, sc.y).TrimmedMean)
+				spec := scenario.DefaultSpec()
+				spec.Protocol.Mode = m
+				spec.Protocol.PushedBufBytes = 4096 // the paper's Fig. 6 buffer
+				spec.Traffic = scenario.Traffic{Pattern: "earlylate", Size: n, Messages: iters,
+					ComputeX: sc.x, ComputeY: sc.y}
+				fmt.Printf(" %14.1f", bench.Latency(spec).TrimmedMean)
 			}
 			fmt.Println()
 		}

@@ -5,103 +5,93 @@
 // barrier-synchronized compute-then-communicate early/late receiver
 // tests, and middle-80 % trimmed means over repeated iterations.
 //
-// The measurement bodies themselves live in internal/scenario as
-// declarative traffic patterns programmed against the public comm API;
-// bench contributes the paper's workload sweeps (which sizes, which
-// option combinations, which derived quantities) on top of that engine.
+// The paper's latency curves are builtin sweeps of internal/scenario,
+// and Curve turns a sweep result into a table. The experiments that
+// derive one cell from several runs (bandwidth, peaks, quantiles) run
+// scenario Specs through Latency and Bandwidth; the few bodies the
+// pattern vocabulary cannot express drive a cluster directly.
 package bench
 
 import (
-	"pushpull/internal/cluster"
+	"fmt"
+	"strconv"
+
 	"pushpull/internal/scenario"
-	"pushpull/internal/sim"
 	"pushpull/internal/stats"
 )
 
-// Workload identifies one measurement configuration.
-type Workload struct {
-	// Cluster is the full testbed description (protocol options live in
-	// Cluster.Opts).
-	Cluster cluster.Config
-	// Intra selects the intranode route (both processes on node 0);
-	// otherwise node 0 talks to node 1.
-	Intra bool
-	// Size is the message size in bytes.
-	Size int
-	// Iters is the number of timed iterations (the paper uses 1000).
-	Iters int
-}
-
-// run executes one traffic pattern on the workload's cluster through
-// the scenario engine and returns the raw latency samples.
-func (w Workload) run(traffic scenario.Traffic) []float64 {
-	cfg := w.Cluster
-	if w.Intra {
-		cfg.Nodes = 1
-		cfg.ProcsPerNode = 2
-	}
-	traffic.Size = w.Size
-	if traffic.Messages == 0 {
-		traffic.Messages = w.Iters
-	}
-	res, err := scenario.RunConfig(cfg, scenario.Spec{Traffic: traffic}, scenario.KeepSamples())
+// run runs s on the scenario engine. Experiment specs are code, not
+// input, so an error is a bug.
+func run(s scenario.Spec, opts ...scenario.RunOption) *scenario.Result {
+	res, err := scenario.Run(s, opts...)
 	must(err)
-	return res.Samples
+	return res
 }
 
-// SingleTrip measures the paper's single-trip latency: half the ping-pong
-// round trip, trimmed-mean over w.Iters iterations, in microseconds.
-func SingleTrip(w Workload) stats.Summary {
-	return stats.Summarize(SingleTripSamples(w))
-}
+// Latency runs s and summarizes its per-message latency samples (µs)
+// with the paper's middle-80% trimmed mean: single trips for the
+// pingpong and earlylate patterns, the completion time of the one
+// transfer for oneshot.
+func Latency(s scenario.Spec) stats.Summary { return run(s).Latency }
 
-// SingleTripSamples returns the raw per-iteration single-trip latencies
-// in microseconds — for distribution analyses (percentiles, histograms)
-// that the paper's trimmed mean would hide.
-func SingleTripSamples(w Workload) []float64 {
-	return w.run(scenario.Traffic{Pattern: "pingpong"})
-}
-
-// Bandwidth measures the paper's bandwidth: the time to send Size bytes
+// Bandwidth measures the paper's bandwidth on s's topology and protocol
+// at s.Traffic.Size and s.Traffic.Messages: the time to send Size bytes
 // plus a 4-byte acknowledgement back, minus the 4-byte single-trip time,
 // with bandwidth = Size / that time. Returned in MB/s.
-func Bandwidth(w Workload) float64 {
-	small := w
-	small.Size = 4
-	base := SingleTrip(small).TrimmedMean // µs per 4-byte single trip
+func Bandwidth(s scenario.Spec) float64 {
+	small := s
+	small.Traffic.Pattern, small.Traffic.Size = "pingpong", 4
+	base := Latency(small).TrimmedMean // µs per 4-byte single trip
 
-	samples := w.run(scenario.Traffic{Pattern: "bandwidth"})
-	per := stats.TrimmedMean(samples, 0.10) - base
+	s.Traffic.Pattern = "bandwidth"
+	per := Latency(s).TrimmedMean - base
 	if per <= 0 {
 		return 0
 	}
-	return float64(w.Size) / per // bytes/µs == MB/s
+	return float64(s.Traffic.Size) / per // bytes/µs == MB/s
 }
 
-// EarlyLate runs the paper's redesigned ping-pong (Fig. 5): both sides
-// compute before they communicate, with x and y NOP counts steering who
-// arrives first. It reports the single-trip mean latency (half the
-// measured ping duration), trimmed, in microseconds.
-//
-// Paper parameters: early receiver x=500000, y=100000; late receiver
-// x=100000, y=300000.
-func EarlyLate(w Workload, x, y int64) stats.Summary {
-	return stats.Summarize(w.run(scenario.Traffic{
-		Pattern: "earlylate", ComputeX: x, ComputeY: y,
-	}))
-}
+// Curve runs the builtin sweep id as a latency table, capping every
+// point at iters messages. The grid's last axis is x (its labels are
+// numbers) and the axis before it, if any, names the series; a one-axis
+// sweep has a single series labelled single. y is each point's
+// middle-80% trimmed-mean latency; the table is titled with the sweep's
+// description.
+func Curve(id string, iters int, xLabel, single string) *stats.Table {
+	sw, err := scenario.SweepByName(id)
+	must(err)
+	axes := sw.Grid.Axes
+	if len(axes) == 0 || len(axes) > 2 || len(sw.Grid.Seeds) > 0 {
+		panic(fmt.Sprintf("bench: sweep %s is not a curve: want one or two axes and no seeds", id))
+	}
+	sw.Base.Traffic.Messages = min(sw.Base.Traffic.Messages, iters)
+	res, err := scenario.RunSweep(sw, 0)
+	must(err)
+	if res.Failed > 0 {
+		panic(fmt.Sprintf("bench: sweep %s: %d of %d points failed", id, res.Failed, res.Points))
+	}
 
-// OneShot measures a single untimed-warmup-free transfer end to end and
-// returns the completion time in microseconds — used for the go-back-N
-// recovery measurements, where trimming would hide the event under test.
-func OneShot(w Workload, recvDelay sim.Duration) float64 {
-	samples := w.run(scenario.Traffic{
-		Pattern: "oneshot",
-		DelayUS: recvDelay.Microseconds(),
-		// The pattern runs exactly one transfer regardless of Iters.
-		Messages: 1,
-	})
-	return samples[0]
+	tab := stats.NewTable(sw.Description, xLabel, "single-trip µs, middle-80% mean")
+	xAxis := axes[len(axes)-1]
+	var series []string
+	if len(axes) > 1 {
+		seriesAxis := axes[len(axes)-2]
+		for i := range seriesAxis.Values {
+			series = append(series, seriesAxis.Label(i))
+		}
+	} else {
+		series = []string{single}
+	}
+	// The x axis is innermost, so the results run series by series.
+	for i, label := range series {
+		s := tab.AddSeries(label)
+		for j := range xAxis.Values {
+			x, err := strconv.ParseFloat(xAxis.Label(j), 64)
+			must(err)
+			s.Add(x, res.Results[i*len(xAxis.Values)+j].Result.Latency.TrimmedMean)
+		}
+	}
+	return tab
 }
 
 func must(err error) {

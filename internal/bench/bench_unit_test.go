@@ -3,18 +3,35 @@ package bench
 import (
 	"testing"
 
-	"pushpull/internal/pushpull"
-	"pushpull/internal/sim"
+	"pushpull/internal/scenario"
 )
 
-func paperWorkload(intra bool, size, iters int) Workload {
-	opts := pushpull.DefaultOptions()
-	opts.PushedBufBytes = 12 << 10
-	return Workload{Cluster: baseConfig(opts), Intra: intra, Size: size, Iters: iters}
+// paperSpec is the testbed with the Fig. 3 pushed buffer running a
+// size-byte ping-pong iters times, on one node when intra is set.
+func paperSpec(intra bool, size, iters int) scenario.Spec {
+	s := testbed(size, iters)
+	s.Protocol.PushedBufBytes = 12 << 10
+	if intra {
+		s = intranode(s)
+	}
+	return s
+}
+
+// earlyLate is s as the paper's compute-then-communicate ping-pong with
+// x and y NOPs.
+func earlyLate(s scenario.Spec, x, y int64) scenario.Spec {
+	s.Traffic.Pattern, s.Traffic.ComputeX, s.Traffic.ComputeY = "earlylate", x, y
+	return s
+}
+
+// oneShot is s as one transfer whose receiver posts delayUS late.
+func oneShot(s scenario.Spec, delayUS float64) scenario.Spec {
+	s.Traffic.Pattern, s.Traffic.Messages, s.Traffic.DelayUS = "oneshot", 1, delayUS
+	return s
 }
 
 func TestSingleTripCollectsRequestedIterations(t *testing.T) {
-	s := SingleTrip(paperWorkload(true, 100, 37))
+	s := Latency(paperSpec(true, 100, 37))
 	if s.N != 37 {
 		t.Errorf("samples = %d, want 37", s.N)
 	}
@@ -26,30 +43,30 @@ func TestSingleTripCollectsRequestedIterations(t *testing.T) {
 func TestSingleTripSteadyStateIsNoiseFree(t *testing.T) {
 	// A deterministic simulator in steady state should produce nearly
 	// identical iterations: min and max within a few percent.
-	s := SingleTrip(paperWorkload(false, 760, 100))
+	s := Latency(paperSpec(false, 760, 100))
 	if s.Max > s.Min*1.10 {
 		t.Errorf("ping-pong jitter too high: min %.2f max %.2f", s.Min, s.Max)
 	}
 }
 
 func TestSingleTripMonotonicInSize(t *testing.T) {
-	small := SingleTrip(paperWorkload(true, 100, 50)).TrimmedMean
-	large := SingleTrip(paperWorkload(true, 8000, 50)).TrimmedMean
+	small := Latency(paperSpec(true, 100, 50)).TrimmedMean
+	large := Latency(paperSpec(true, 8000, 50)).TrimmedMean
 	if large <= small {
 		t.Errorf("8000B (%.2f) not slower than 100B (%.2f)", large, small)
 	}
 }
 
 func TestSingleTripDeterministic(t *testing.T) {
-	a := SingleTrip(paperWorkload(false, 1400, 60)).TrimmedMean
-	b := SingleTrip(paperWorkload(false, 1400, 60)).TrimmedMean
+	a := Latency(paperSpec(false, 1400, 60)).TrimmedMean
+	b := Latency(paperSpec(false, 1400, 60)).TrimmedMean
 	if a != b {
 		t.Errorf("same workload measured %.4f then %.4f", a, b)
 	}
 }
 
 func TestBandwidthPositiveAndBounded(t *testing.T) {
-	bw := Bandwidth(paperWorkload(false, 32768, 20))
+	bw := Bandwidth(paperSpec(false, 32768, 20))
 	if bw <= 0 {
 		t.Fatal("non-positive bandwidth")
 	}
@@ -60,7 +77,7 @@ func TestBandwidthPositiveAndBounded(t *testing.T) {
 }
 
 func TestBandwidthIntranodeBelowBus(t *testing.T) {
-	bw := Bandwidth(paperWorkload(true, 16384, 50))
+	bw := Bandwidth(paperSpec(true, 16384, 50))
 	if bw <= 0 || bw > 533 {
 		t.Errorf("intranode bandwidth %.1f MB/s outside (0, 533] bus bound", bw)
 	}
@@ -69,8 +86,8 @@ func TestBandwidthIntranodeBelowBus(t *testing.T) {
 func TestEarlyLateIncludesComputeTime(t *testing.T) {
 	// With x+y NOPs of compute inside the timed region, the single-trip
 	// reading must be at least half the pure compute time.
-	w := paperWorkload(false, 1024, 20)
-	s := EarlyLate(w, 100_000, 300_000)
+	w := paperSpec(false, 1024, 20)
+	s := Latency(earlyLate(w, 100_000, 300_000))
 	minCompute := float64(100_000+300_000) * 0.005 / 2 // 5ns per NOP, halved
 	if s.TrimmedMean < minCompute {
 		t.Errorf("early/late latency %.1fµs below compute floor %.1fµs", s.TrimmedMean, minCompute)
@@ -80,23 +97,23 @@ func TestEarlyLateIncludesComputeTime(t *testing.T) {
 func TestEarlyVsLateOrdering(t *testing.T) {
 	// The early test burns more total NOPs (500k+100k vs 100k+300k), so
 	// its reading must be larger.
-	w := paperWorkload(false, 1024, 20)
-	early := EarlyLate(w, earlyX, earlyY).TrimmedMean
-	late := EarlyLate(w, lateX, lateY).TrimmedMean
+	w := paperSpec(false, 1024, 20)
+	early := Latency(earlyLate(w, 500_000, 100_000)).TrimmedMean
+	late := Latency(earlyLate(w, 100_000, 300_000)).TrimmedMean
 	if early <= late {
 		t.Errorf("early (%.1f) should exceed late (%.1f) for push-pull at 1KB", early, late)
 	}
 }
 
 func TestOneShotImmediateReceiver(t *testing.T) {
-	us := OneShot(paperWorkload(false, 760, 1), 0)
+	us := Latency(oneShot(paperSpec(false, 760, 1), 0)).Mean
 	if us < 30 || us > 200 {
 		t.Errorf("one-shot 760B transfer = %.1fµs, expected tens of µs", us)
 	}
 }
 
 func TestOneShotLateReceiverIncludesDelay(t *testing.T) {
-	us := OneShot(paperWorkload(false, 760, 1), 2*sim.Duration(sim.Millisecond))
+	us := Latency(oneShot(paperSpec(false, 760, 1), 2000)).Mean
 	if us < 2000 {
 		t.Errorf("one-shot with 2ms-late receiver = %.1fµs, want >= 2000", us)
 	}

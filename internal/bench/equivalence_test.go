@@ -3,9 +3,6 @@ package bench
 import (
 	"math"
 	"testing"
-
-	"pushpull/internal/pushpull"
-	"pushpull/internal/sim"
 )
 
 // The bench measurement primitives were refactored to run through the
@@ -18,8 +15,6 @@ func TestScenarioRefactorPreservesBenchNumbers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pinned-number equivalence is not meaningful at reduced iteration counts")
 	}
-	opts := pushpull.DefaultOptions()
-
 	pin := func(name string, got, want float64) {
 		t.Helper()
 		// The values are deterministic; the tolerance only absorbs
@@ -29,26 +24,18 @@ func TestScenarioRefactorPreservesBenchNumbers(t *testing.T) {
 		}
 	}
 
-	w := Workload{Cluster: baseConfig(opts), Size: 1400, Iters: 100}
-	pin("internode 1400B single-trip µs", SingleTrip(w).TrimmedMean, 158.484)
+	pin("internode 1400B single-trip µs", Latency(testbed(1400, 100)).TrimmedMean, 158.484)
 
-	o12 := pushpull.DefaultOptions()
-	o12.PushedBufBytes = 12 << 10
-	wi := Workload{Cluster: baseConfig(o12), Intra: true, Size: 10, Iters: 100}
-	pin("intranode 10B single-trip µs", SingleTrip(wi).TrimmedMean, 7.169)
+	wi := intranode(testbed(10, 100))
+	wi.Protocol.PushedBufBytes = 12 << 10
+	pin("intranode 10B single-trip µs", Latency(wi).TrimmedMean, 7.169)
 
-	wb := Workload{Cluster: baseConfig(opts), Size: 8192, Iters: 50}
-	pin("internode 8192B bandwidth MB/s", Bandwidth(wb), 11.118078006)
+	pin("internode 8192B bandwidth MB/s", Bandwidth(testbed(8192, 50)), 11.118078006)
 
-	o4 := pushpull.DefaultOptions()
-	o4.PushedBufBytes = 4096
-	we := Workload{Cluster: baseConfig(o4), Size: 2048, Iters: 50}
-	pin("early receiver 2048B µs", EarlyLate(we, 500_000, 100_000).TrimmedMean, 2720.123)
-	pin("late receiver 2048B µs", EarlyLate(we, 100_000, 300_000).TrimmedMean, 1192.095)
+	we := testbed(2048, 50)
+	we.Protocol.PushedBufBytes = 4096
+	pin("early receiver 2048B µs", Latency(earlyLate(we, 500_000, 100_000)).TrimmedMean, 2720.123)
+	pin("late receiver 2048B µs", Latency(earlyLate(we, 100_000, 300_000)).TrimmedMean, 1192.095)
 
-	pa := pushpull.DefaultOptions()
-	pa.Mode = pushpull.PushAll
-	pa.PushedBufBytes = 4096
-	wPA := Workload{Cluster: baseConfig(pa), Size: 3072, Iters: 1}
-	pin("push-all 3072B one-shot recovery µs", OneShot(wPA, sim.Millisecond), 150347.881)
+	pin("push-all 3072B one-shot recovery µs", Latency(pushAllLateOneShot()).Mean, 150347.881)
 }

@@ -5,6 +5,7 @@ import (
 
 	"pushpull/internal/cluster"
 	"pushpull/internal/pushpull"
+	"pushpull/internal/scenario"
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
 	"pushpull/internal/stats"
@@ -13,10 +14,15 @@ import (
 
 // Params tunes an experiment run.
 type Params struct {
-	// Iters is the number of timed iterations per point; the paper used
-	// 1000. Reduce for quicker runs.
+	// Iters caps the timed iterations (messages) of every point; the
+	// paper used 1000. Experiments that need fewer use fewer, and the
+	// multi-run cells scale it down. Reduce for quicker runs.
 	Iters int
 }
+
+// per is Iters/k, at least 1: the message count of cells that use a
+// fraction of the iterations.
+func (p Params) per(k int) int { return max(p.Iters/k, 1) }
 
 // DefaultParams matches the paper's methodology.
 func DefaultParams() Params { return Params{Iters: 1000} }
@@ -38,25 +44,25 @@ func All() []Experiment {
 			ID:    "fig3",
 			Title: "Figure 3: intranode single-trip latency vs message size (pushed buffer 12 KB)",
 			Paper: "7.5 µs minimum at 10 B; Push-All degrades abruptly around 4000 B; Push-Pull steady",
-			Run:   runFig3,
+			Run:   curve("fig3", "size(B)", ""),
 		},
 		{
 			ID:    "fig4",
 			Title: "Figure 4: internode latency under the three optimizing techniques (BTP(1)=80, BTP(2)=680)",
 			Paper: "identical curves up to 760 B; beyond it full < overlap-only < mask-only < none",
-			Run:   runFig4,
+			Run:   curve("fig4", "size(B)", ""),
 		},
 		{
 			ID:    "fig6-early",
 			Title: "Figure 6 (left): early receiver test (x=500k, y=100k NOPs, pushed buffer 4 KB)",
 			Paper: "Push-Zero constantly slower; Push-Pull and Push-All close, Push-Pull slightly ahead",
-			Run:   runFig6Early,
+			Run:   curve("fig6-early", "size(B)", ""),
 		},
 		{
 			ID:    "fig6-late",
 			Title: "Figure 6 (right): late receiver test (x=100k, y=300k NOPs, pushed buffer 4 KB)",
 			Paper: "Push-All fastest below 3072 B then collapses (~150 ms via go-back-N); Push-Pull < Push-Zero throughout",
-			Run:   runFig6Late,
+			Run:   curve("fig6-late", "size(B)", ""),
 		},
 		{
 			ID:    "btp2",
@@ -80,13 +86,13 @@ func All() []Experiment {
 			ID:    "ablation-interrupt",
 			Title: "Ablation: reception-handler invocation method (§2 stage 3, §4.1)",
 			Paper: "symmetric interrupt chosen for the optimized configuration",
-			Run:   runAblationInterrupt,
+			Run:   curve("ablation-interrupt", "size(B)", ""),
 		},
 		{
 			ID:    "ablation-trigger",
 			Title: "Ablation: user-level NIC trigger vs kernel driver path (§4.3)",
 			Paper: "user-level direct thread invocation required for translation masking",
-			Run:   runAblationTrigger,
+			Run:   curve("ablation-trigger", "size(B)", ""),
 		},
 		{
 			ID:    "ablation-zerobuf",
@@ -104,7 +110,7 @@ func All() []Experiment {
 			ID:    "ablation-polling",
 			Title: "Ablation: polling period vs internode latency (§2 stage 3)",
 			Paper: "polling is lightweight but its frequency bounds responsiveness",
-			Run:   runAblationPolling,
+			Run:   curve("ablation-polling", "poll period µs (0 = symmetric interrupt)", "latency"),
 		},
 		{
 			ID:    "ablation-pullcpu",
@@ -167,142 +173,41 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// baseConfig is the paper's testbed with protocol options opts.
-func baseConfig(opts pushpull.Options) cluster.Config {
-	cfg := cluster.DefaultConfig()
-	cfg.Opts = opts
-	return cfg
+// curve is the Run of a latency-curve experiment: the table Curve
+// makes of the builtin sweep id.
+func curve(id, xLabel, single string) func(Params) []*stats.Table {
+	return func(p Params) []*stats.Table { return []*stats.Table{Curve(id, p.Iters, xLabel, single)} }
 }
 
-// fig3Sizes includes the paper's x points plus fill-in sizes around the
-// Push-All cliff.
-var fig3Sizes = []int{10, 500, 1000, 2000, 3000, 3500, 4000, 4500, 5000, 6000, 7000, 8192}
-
-func runFig3(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Figure 3: intranode single-trip mean latency, pushed buffer 12 KB",
-		"size(B)", "single-trip µs, middle-80% mean")
-	for _, mode := range []pushpull.Mode{pushpull.PushZero, pushpull.PushPull, pushpull.PushAll} {
-		s := tab.AddSeries(mode.String())
-		for _, n := range fig3Sizes {
-			opts := pushpull.DefaultOptions()
-			opts.Mode = mode
-			opts.PushedBufBytes = 12 << 10
-			w := Workload{Cluster: baseConfig(opts), Intra: true, Size: n, Iters: p.Iters}
-			s.Add(float64(n), SingleTrip(w).TrimmedMean)
-		}
-	}
-	return []*stats.Table{tab}
+// testbed is the paper's two-node testbed running a size-byte ping-pong
+// messages times.
+func testbed(size, messages int) scenario.Spec {
+	s := scenario.DefaultSpec()
+	s.Traffic.Size, s.Traffic.Messages = size, messages
+	return s
 }
 
-// fig4Variant describes one optimization combination of Figure 4.
-type fig4Variant struct {
-	label   string
-	mask    bool
-	overlap bool
+// intranode moves s onto one SMP node: both processes on node 0.
+func intranode(s scenario.Spec) scenario.Spec {
+	s.Topology.Kind, s.Topology.Nodes, s.Topology.ProcsPerNode = "intranode", 1, 2
+	return s
 }
-
-func fig4Variants() []fig4Variant {
-	return []fig4Variant{
-		{"no-optimization", false, false},
-		{"mask-only", true, false},
-		{"overlap-only", false, true},
-		{"full-optimization", true, true},
-	}
-}
-
-func fig4Options(v fig4Variant) pushpull.Options {
-	opts := pushpull.DefaultOptions()
-	opts.MaskTranslation = v.mask
-	// Masking requires (and implies) the user-level trigger; the other
-	// variants go through the kernel driver path.
-	opts.UserTrigger = v.mask
-	opts.OverlapAck = v.overlap
-	return opts
-}
-
-var fig4Sizes = []int{4, 100, 200, 400, 600, 760, 800, 1000, 1200, 1400}
-
-func runFig4(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Figure 4: internode single-trip mean latency under optimizing techniques",
-		"size(B)", "single-trip µs, middle-80% mean")
-	for _, v := range fig4Variants() {
-		s := tab.AddSeries(v.label)
-		for _, n := range fig4Sizes {
-			w := Workload{Cluster: baseConfig(fig4Options(v)), Size: n, Iters: p.Iters}
-			s.Add(float64(n), SingleTrip(w).TrimmedMean)
-		}
-	}
-	return []*stats.Table{tab}
-}
-
-var fig6Sizes = []int{4, 1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192}
-
-// Early/late receiver NOP counts (paper §5.3).
-const (
-	earlyX, earlyY = 500_000, 100_000
-	lateX, lateY   = 100_000, 300_000
-)
-
-func runFig6(p Params, x, y int64, what string) []*stats.Table {
-	tab := stats.NewTable(
-		fmt.Sprintf("Figure 6 (%s receiver): compute-then-communicate ping-pong, pushed buffer 4 KB", what),
-		"size(B)", "single-trip µs, middle-80% mean")
-	iters := p.Iters
-	if iters > 200 {
-		// Each iteration burns milliseconds of virtual compute (and the
-		// Push-All collapse hundreds of ms); 200 iterations already give
-		// a stable trimmed mean in a noise-free simulation.
-		iters = 200
-	}
-	for _, mode := range []pushpull.Mode{pushpull.PushZero, pushpull.PushPull, pushpull.PushAll} {
-		s := tab.AddSeries(mode.String())
-		for _, n := range fig6Sizes {
-			opts := pushpull.DefaultOptions()
-			opts.Mode = mode
-			opts.PushedBufBytes = 4096
-			w := Workload{Cluster: baseConfig(opts), Size: n, Iters: iters}
-			s.Add(float64(n), EarlyLate(w, x, y).TrimmedMean)
-		}
-	}
-	return []*stats.Table{tab}
-}
-
-func runFig6Early(p Params) []*stats.Table { return runFig6(p, earlyX, earlyY, "early") }
-func runFig6Late(p Params) []*stats.Table  { return runFig6(p, lateX, lateY, "late") }
 
 func runBTP2(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"BTP(2) sweep at BTP(1)=0, 1400 B messages (overlap only)",
-		"BTP2(B)", "single-trip µs, middle-80% mean")
-	s := tab.AddSeries("push-pull")
-	for btp2 := 0; btp2 <= 1400; btp2 += 100 {
-		opts := pushpull.DefaultOptions()
-		opts.BTP1 = 0
-		opts.BTP2 = btp2
-		opts.BTP = btp2
-		w := Workload{Cluster: baseConfig(opts), Size: 1400, Iters: p.Iters}
-		s.Add(float64(btp2), SingleTrip(w).TrimmedMean)
-	}
-	tab.Comment = fmt.Sprintf("paper picks BTP(2)=680; this run's minimum is at %g", argminX(s))
+	tab := Curve("btp2", p.Iters, "BTP2(B)", "push-pull")
+	tab.Comment = fmt.Sprintf("paper picks BTP(2)=680; this run's minimum is at %g", argminX(tab.Series[0]))
 	return []*stats.Table{tab}
 }
 
 func runBTP1(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"BTP(1) sweep at BTP(2)=680, 1400 B messages",
-		"BTP1(B)", "single-trip µs, middle-80% mean")
-	s := tab.AddSeries("push-pull")
-	for btp1 := 0; btp1 <= 400; btp1 += 20 {
-		opts := pushpull.DefaultOptions()
-		opts.BTP1 = btp1
-		opts.BTP2 = 680
-		opts.BTP = btp1 + 680
-		w := Workload{Cluster: baseConfig(opts), Size: 1400, Iters: p.Iters}
-		s.Add(float64(btp1), SingleTrip(w).TrimmedMean)
-	}
-	tab.Comment = fmt.Sprintf("paper picks BTP(1)=80; this run's minimum is at %g", argminX(s))
+	tab := Curve("btp1", p.Iters, "BTP1(B)", "push-pull")
+	tab.Comment = fmt.Sprintf("paper picks BTP(1)=80; this run's minimum is at %g", argminX(tab.Series[0]))
+	return []*stats.Table{tab}
+}
+
+func runThreePhase(p Params) []*stats.Table {
+	tab := Curve("threephase", p.Iters, "size(B)", "")
+	tab.Comment = "the paper's §1 motivation: the handshake penalizes every size, worst in relative terms for short messages"
 	return []*stats.Table{tab}
 }
 
@@ -328,28 +233,26 @@ func runHeadline(p Params) []*stats.Table {
 		row++
 	}
 
-	intra := pushpull.DefaultOptions()
-	intra.PushedBufBytes = 12 << 10
-	wIntra := Workload{Cluster: baseConfig(intra), Intra: true, Size: 10, Iters: p.Iters}
-	add("intranode 10B single-trip µs", 7.5, SingleTrip(wIntra).TrimmedMean)
+	intra := func(size, messages int) scenario.Spec {
+		s := intranode(testbed(size, messages))
+		s.Protocol.PushedBufBytes = 12 << 10
+		return s
+	}
+	add("intranode 10B single-trip µs", 7.5, Latency(intra(10, p.Iters)).TrimmedMean)
 
 	peakIntra := 0.0
 	for _, n := range []int{2000, 4000, 8192, 16384} {
-		w := Workload{Cluster: baseConfig(intra), Intra: true, Size: n, Iters: p.Iters / 4}
-		if bw := Bandwidth(w); bw > peakIntra {
+		if bw := Bandwidth(intra(n, p.per(4))); bw > peakIntra {
 			peakIntra = bw
 		}
 	}
 	add("intranode peak bandwidth MB/s", 350.9, peakIntra)
 
-	inter := pushpull.DefaultOptions()
-	wInter := Workload{Cluster: baseConfig(inter), Size: 4, Iters: p.Iters}
-	add("internode 4B single-trip µs", 34.9, SingleTrip(wInter).TrimmedMean)
+	add("internode 4B single-trip µs", 34.9, Latency(testbed(4, p.Iters)).TrimmedMean)
 
 	peakInter := 0.0
 	for _, n := range []int{16384, 65536} {
-		w := Workload{Cluster: baseConfig(inter), Size: n, Iters: p.Iters / 10}
-		if bw := Bandwidth(w); bw > peakInter {
+		if bw := Bandwidth(testbed(n, p.per(10))); bw > peakInter {
 			peakInter = bw
 		}
 	}
@@ -360,56 +263,22 @@ func runHeadline(p Params) []*stats.Table {
 	add("address translation of a 64KB message µs (paper: ~12-13 hidden by masking)",
 		12.5, space.TranslateCost(addr, 64<<10).Microseconds())
 
-	pa := pushpull.DefaultOptions()
-	pa.Mode = pushpull.PushAll
-	pa.PushedBufBytes = 4096
-	wPA := Workload{Cluster: baseConfig(pa), Size: 3072, Iters: 1}
 	add("push-all late-receiver 3072B recovery ms (paper: ~150)",
-		150, OneShot(wPA, sim.Duration(sim.Millisecond))/1000)
+		150, Latency(pushAllLateOneShot()).Mean/1000)
 
 	return []*stats.Table{tab}
 }
 
-func runAblationInterrupt(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Ablation: internode single-trip latency by handler invocation method",
-		"size(B)", "single-trip µs, middle-80% mean")
-	type pol struct {
-		label  string
-		policy smp.Policy
-	}
-	for _, pc := range []pol{{"symmetric", smp.Symmetric}, {"asymmetric-cpu0", smp.Asymmetric}, {"polling-5us", smp.Polling}} {
-		s := tab.AddSeries(pc.label)
-		for _, n := range []int{4, 760, 1400, 8192} {
-			cfg := baseConfig(pushpull.DefaultOptions())
-			cfg.Policy = pc.policy
-			cfg.PolicyTarget = 0
-			w := Workload{Cluster: cfg, Size: n, Iters: p.Iters / 2}
-			s.Add(float64(n), SingleTrip(w).TrimmedMean)
-		}
-	}
-	return []*stats.Table{tab}
-}
-
-func runAblationTrigger(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Ablation: user-level trigger vs kernel driver transmit path (masking off to isolate)",
-		"size(B)", "single-trip µs, middle-80% mean")
-	for _, user := range []bool{true, false} {
-		label := "kernel-trigger"
-		if user {
-			label = "user-trigger"
-		}
-		s := tab.AddSeries(label)
-		for _, n := range []int{4, 200, 760, 1400} {
-			opts := pushpull.DefaultOptions()
-			opts.UserTrigger = user
-			opts.MaskTranslation = false
-			w := Workload{Cluster: baseConfig(opts), Size: n, Iters: p.Iters / 2}
-			s.Add(float64(n), SingleTrip(w).TrimmedMean)
-		}
-	}
-	return []*stats.Table{tab}
+// pushAllLateOneShot is the paper's Push-All collapse: one 3072 B
+// transfer into a 4 KB pushed buffer whose receiver posts 1 ms late, so
+// the third fragment is dropped and only a go-back-N timeout recovers
+// it. Its one sample is the completion time in µs, untrimmed.
+func pushAllLateOneShot() scenario.Spec {
+	s := testbed(3072, 1)
+	s.Protocol.Mode = "push-all"
+	s.Protocol.PushedBufBytes = 4096
+	s.Traffic.Pattern, s.Traffic.DelayUS = "oneshot", 1000
+	return s
 }
 
 func runAblationZeroBuf(p Params) []*stats.Table {
@@ -426,13 +295,12 @@ func runAblationZeroBuf(p Params) []*stats.Table {
 		}
 		sl := lat.AddSeries(label)
 		sb := bw.AddSeries(label)
-		opts := pushpull.DefaultOptions()
-		opts.DisableZeroBuffer = !zero
-		opts.PushedBufBytes = 64 << 10
 		for _, n := range []int{1000, 4000, 8192, 16384} {
-			w := Workload{Cluster: baseConfig(opts), Intra: true, Size: n, Iters: p.Iters / 2}
-			sl.Add(float64(n), SingleTrip(w).TrimmedMean)
-			sb.Add(float64(n), Bandwidth(w))
+			s := intranode(testbed(n, p.per(2)))
+			s.Protocol.DisableZeroBuffer = !zero
+			s.Protocol.PushedBufBytes = 64 << 10
+			sl.Add(float64(n), Latency(s).TrimmedMean)
+			sb.Add(float64(n), Bandwidth(s))
 		}
 	}
 	return []*stats.Table{lat, bw}
@@ -452,7 +320,8 @@ func runAblationPullCPU(p Params) []*stats.Table {
 		opts := pushpull.DefaultOptions()
 		opts.PushedBufBytes = 64 << 10
 		opts.PullLocal = label == "receiver-cpu"
-		cfg := baseConfig(opts)
+		cfg := cluster.DefaultConfig()
+		cfg.Opts = opts
 		cfg.Nodes = 1
 		cfg.ProcsPerNode = 2
 		c := cluster.New(cfg)
@@ -493,34 +362,10 @@ func runMultiRail(p Params) []*stats.Table {
 		"rails", "MB/s")
 	s := tab.AddSeries("push-pull")
 	for rails := 1; rails <= 4; rails++ {
-		opts := pushpull.DefaultOptions()
-		opts.PushedBufBytes = 64 << 10
-		cfg := baseConfig(opts)
-		cfg.Rails = rails
-		w := Workload{Cluster: cfg, Size: 64 << 10, Iters: p.Iters / 20}
-		s.Add(float64(rails), Bandwidth(w))
-	}
-	return []*stats.Table{tab}
-}
-
-// runAblationPolling sweeps the polling period: short periods approach
-// (and beat) interrupt latency at the cost of a busy processor; long
-// periods quantize every frame arrival up to the period.
-func runAblationPolling(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Ablation: internode 4 B single-trip latency vs reception method",
-		"poll period µs (0 = symmetric interrupt)", "single-trip µs, middle-80% mean")
-	s := tab.AddSeries("latency")
-	// Baseline: symmetric interrupts.
-	base := baseConfig(pushpull.DefaultOptions())
-	w := Workload{Cluster: base, Size: 4, Iters: p.Iters / 2}
-	s.Add(0, SingleTrip(w).TrimmedMean)
-	for _, period := range []sim.Duration{1, 2, 5, 10, 20, 50} {
-		cfg := baseConfig(pushpull.DefaultOptions())
-		cfg.Policy = smp.Polling
-		cfg.SMP.PollPeriod = period * sim.Microsecond
-		w := Workload{Cluster: cfg, Size: 4, Iters: p.Iters / 2}
-		s.Add(float64(period), SingleTrip(w).TrimmedMean)
+		spec := testbed(64<<10, p.per(20))
+		spec.Protocol.PushedBufBytes = 64 << 10
+		spec.Topology.Rails = rails
+		s.Add(float64(rails), Bandwidth(spec))
 	}
 	return []*stats.Table{tab}
 }

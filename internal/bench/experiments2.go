@@ -1,9 +1,9 @@
 package bench
 
-// Experiments beyond the paper's figures: the three-phase historical
-// baseline, damaged-cable and hub topologies, the adaptive BTP
-// controller, and the collective/application layer. Each is registered
-// in All() and regenerable through cmd/pushpull-bench.
+// Experiments beyond the paper's figures: damaged-cable and hub
+// topologies, the adaptive BTP controller, and the collective/
+// application layer. Each is registered in All() and regenerable
+// through cmd/pushpull-bench.
 
 import (
 	"fmt"
@@ -11,65 +11,23 @@ import (
 	"pushpull/coll"
 	"pushpull/internal/adapt"
 	"pushpull/internal/cluster"
-	"pushpull/internal/gbn"
 	"pushpull/internal/pushpull"
+	"pushpull/internal/scenario"
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
 	"pushpull/internal/stats"
 )
 
-// threePhaseOptions is the classical protocol: no optimizations, kernel
-// trigger, synchronous handshake.
-func threePhaseOptions() pushpull.Options {
-	opts := pushpull.DefaultOptions()
-	opts.Mode = pushpull.ThreePhase
-	opts.MaskTranslation = false
-	opts.OverlapAck = false
-	opts.UserTrigger = false
-	return opts
-}
-
-var threePhaseSizes = []int{4, 100, 400, 760, 1400, 3000, 8192}
-
-func runThreePhase(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Three-phase handshake baseline vs Push-Pull (internode)",
-		"size(B)", "single-trip µs, middle-80% mean")
-	variants := []struct {
-		label string
-		opts  pushpull.Options
-	}{
-		{"three-phase", threePhaseOptions()},
-		{"push-zero full-opt", func() pushpull.Options {
-			o := pushpull.DefaultOptions()
-			o.Mode = pushpull.PushZero
-			return o
-		}()},
-		{"push-pull full-opt", pushpull.DefaultOptions()},
-	}
-	for _, v := range variants {
-		s := tab.AddSeries(v.label)
-		for _, n := range threePhaseSizes {
-			w := Workload{Cluster: baseConfig(v.opts), Size: n, Iters: p.Iters}
-			s.Add(float64(n), SingleTrip(w).TrimmedMean)
-		}
-	}
-	tab.Comment = "the paper's §1 motivation: the handshake penalizes every size, worst in relative terms for short messages"
-	return []*stats.Table{tab}
-}
-
 // lossRates swept by the damaged-cable ablation.
 var lossRates = []float64{0, 0.0001, 0.001, 0.01, 0.05}
 
 func runAblationLoss(p Params) []*stats.Table {
-	iters := p.Iters
-	if iters > 300 {
-		iters = 300 // every recovery costs an RTO of virtual time
-	}
-	lossOpts := func() pushpull.Options {
-		opts := pushpull.DefaultOptions()
-		opts.GBN = gbn.Config{Window: 8, RTO: 2 * sim.Millisecond}
-		return opts
+	iters := min(p.Iters, 300) // every recovery costs an RTO of virtual time
+	lossy := func(size int, rate float64) scenario.Spec {
+		s := testbed(size, iters)
+		s.Protocol.RTOMs = 2
+		s.Topology.LossRate = rate
+		return s
 	}
 
 	lat := stats.NewTable(
@@ -78,10 +36,7 @@ func runAblationLoss(p Params) []*stats.Table {
 	trimmed := lat.AddSeries("middle-80% mean")
 	plain := lat.AddSeries("plain mean")
 	for _, rate := range lossRates {
-		cfg := baseConfig(lossOpts())
-		cfg.Net.LossRate = rate
-		w := Workload{Cluster: cfg, Size: 1400, Iters: iters}
-		sum := SingleTrip(w)
+		sum := Latency(lossy(1400, rate))
 		trimmed.Add(rate*100, sum.TrimmedMean)
 		plain.Add(rate*100, sum.Mean)
 	}
@@ -92,48 +47,42 @@ func runAblationLoss(p Params) []*stats.Table {
 		"loss(%)", "MB/s")
 	s := bw.AddSeries("push-pull full-opt")
 	for _, rate := range lossRates {
-		cfg := baseConfig(lossOpts())
-		cfg.Net.LossRate = rate
-		w := Workload{Cluster: cfg, Size: 8192, Iters: iters}
-		s.Add(rate*100, Bandwidth(w))
+		s.Add(rate*100, Bandwidth(lossy(8192, rate)))
 	}
 	return []*stats.Table{lat, bw}
 }
 
-// hub topologies compared by the hub-vs-switch ablation.
+// runHub compares the back-to-back testbed with a switch and a
+// shared-medium hub.
 func runHub(p Params) []*stats.Table {
-	topologies := []struct {
-		label string
-		mut   func(*cluster.Config)
-	}{
-		{"back-to-back", func(*cluster.Config) {}},
-		{"switch", func(c *cluster.Config) { c.UseSwitch = true }},
-		{"hub (half-duplex)", func(c *cluster.Config) { c.UseHub = true }},
+	kinds := []struct{ label, kind string }{
+		{"back-to-back", "back-to-back"},
+		{"switch", "switch"},
+		{"hub (half-duplex)", "hub"},
+	}
+	on := func(kind string, size int) scenario.Spec {
+		s := testbed(size, p.Iters)
+		s.Topology.Kind = kind
+		return s
 	}
 
 	lat := stats.NewTable(
 		"Topology ablation: internode single-trip latency",
 		"size(B)", "single-trip µs, middle-80% mean")
-	for _, topo := range topologies {
-		s := lat.AddSeries(topo.label)
+	for _, k := range kinds {
+		s := lat.AddSeries(k.label)
 		for _, n := range []int{4, 760, 1400, 4096, 8192} {
-			cfg := baseConfig(pushpull.DefaultOptions())
-			topo.mut(&cfg)
-			w := Workload{Cluster: cfg, Size: n, Iters: p.Iters}
-			s.Add(float64(n), SingleTrip(w).TrimmedMean)
+			s.Add(float64(n), Latency(on(k.kind, n)).TrimmedMean)
 		}
 	}
 
 	bw := stats.NewTable(
 		"Topology ablation: internode bandwidth (data and acks share the hub's one wire)",
 		"size(B)", "MB/s")
-	for _, topo := range topologies {
-		s := bw.AddSeries(topo.label)
+	for _, k := range kinds {
+		s := bw.AddSeries(k.label)
 		for _, n := range []int{1400, 8192} {
-			cfg := baseConfig(pushpull.DefaultOptions())
-			topo.mut(&cfg)
-			w := Workload{Cluster: cfg, Size: n, Iters: p.Iters}
-			s.Add(float64(n), Bandwidth(w))
+			s.Add(float64(n), Bandwidth(on(k.kind, n)))
 		}
 	}
 	bw.Comment = "the testbed (and every serious COMP of the era) used a switch or back-to-back cabling; the hub shows why"
@@ -141,12 +90,9 @@ func runHub(p Params) []*stats.Table {
 	jit := stats.NewTable(
 		"Topology ablation: 8192 B latency distribution (contention jitter the trimmed mean hides)",
 		"percentile", "single-trip µs")
-	for _, topo := range topologies {
-		s := jit.AddSeries(topo.label)
-		cfg := baseConfig(pushpull.DefaultOptions())
-		topo.mut(&cfg)
-		samples := SingleTripSamples(Workload{Cluster: cfg, Size: 8192, Iters: p.Iters})
-		q := stats.QuantileSummary(samples)
+	for _, k := range kinds {
+		s := jit.AddSeries(k.label)
+		q := stats.QuantileSummary(run(on(k.kind, 8192), scenario.KeepSamples()).Samples)
 		s.Add(50, q.P50)
 		s.Add(90, q.P90)
 		s.Add(99, q.P99)

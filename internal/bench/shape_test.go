@@ -10,14 +10,21 @@ import (
 	"testing"
 
 	"pushpull/coll"
-	"pushpull/internal/pushpull"
-	"pushpull/internal/sim"
 	"pushpull/internal/stats"
 )
 
 // quick keeps shape tests fast; shapes are stable at 50 iterations in a
 // noise-free simulator.
 var quickParams = Params{Iters: 50}
+
+func experimentTables(t *testing.T, id string, p Params) []*stats.Table {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(p)
+}
 
 func seriesByLabel(t *testing.T, tab *stats.Table, label string) *stats.Series {
 	t.Helper()
@@ -31,7 +38,7 @@ func seriesByLabel(t *testing.T, tab *stats.Table, label string) *stats.Series {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tab := runFig3(quickParams)[0]
+	tab := experimentTables(t, "fig3", quickParams)[0]
 	zero := seriesByLabel(t, tab, "push-zero")
 	pull := seriesByLabel(t, tab, "push-pull")
 	all := seriesByLabel(t, tab, "push-all")
@@ -63,7 +70,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	tab := runFig4(quickParams)[0]
+	tab := experimentTables(t, "fig4", quickParams)[0]
 	none := seriesByLabel(t, tab, "no-optimization")
 	mask := seriesByLabel(t, tab, "mask-only")
 	over := seriesByLabel(t, tab, "overlap-only")
@@ -94,7 +101,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig6EarlyShape(t *testing.T) {
-	tab := runFig6(quickParams, earlyX, earlyY, "early")[0]
+	tab := experimentTables(t, "fig6-early", quickParams)[0]
 	zero := seriesByLabel(t, tab, "push-zero")
 	pull := seriesByLabel(t, tab, "push-pull")
 	all := seriesByLabel(t, tab, "push-all")
@@ -115,7 +122,7 @@ func TestFig6EarlyShape(t *testing.T) {
 }
 
 func TestFig6LateShape(t *testing.T) {
-	tab := runFig6(quickParams, lateX, lateY, "late")[0]
+	tab := experimentTables(t, "fig6-late", quickParams)[0]
 	zero := seriesByLabel(t, tab, "push-zero")
 	pull := seriesByLabel(t, tab, "push-pull")
 	all := seriesByLabel(t, tab, "push-all")
@@ -206,7 +213,7 @@ func TestMultiRailScaling(t *testing.T) {
 }
 
 func TestPollingAblationShape(t *testing.T) {
-	tab := runAblationPolling(Params{Iters: 50})[0]
+	tab := experimentTables(t, "ablation-polling", Params{Iters: 50})[0]
 	s := seriesByLabel(t, tab, "latency")
 	// Slow polling must cost roughly the added period.
 	if s.Y(50) <= s.Y(1) {
@@ -240,7 +247,7 @@ func TestPullCPUAblationShape(t *testing.T) {
 }
 
 func TestTriggerAblationShape(t *testing.T) {
-	tab := runAblationTrigger(Params{Iters: 50})[0]
+	tab := experimentTables(t, "ablation-trigger", Params{Iters: 50})[0]
 	user := seriesByLabel(t, tab, "user-trigger")
 	kern := seriesByLabel(t, tab, "kernel-trigger")
 	for _, x := range []float64{4, 760} {
@@ -251,11 +258,7 @@ func TestTriggerAblationShape(t *testing.T) {
 }
 
 func TestOneShotRecoveryNearPaper(t *testing.T) {
-	opts := pushpull.DefaultOptions()
-	opts.Mode = pushpull.PushAll
-	opts.PushedBufBytes = 4096
-	w := Workload{Cluster: baseConfig(opts), Size: 3072, Iters: 1}
-	ms := OneShot(w, sim.Duration(sim.Millisecond)) / 1000
+	ms := Latency(pushAllLateOneShot()).Mean / 1000
 	if ms < 100 || ms > 200 {
 		t.Errorf("push-all 3072B recovery = %.1fms, want ~150", ms)
 	}

@@ -57,10 +57,10 @@ type JobResult struct {
 	Units  int `json:"units"`
 	Failed int `json:"failed,omitempty"`
 	// Runs itemizes scenario repetitions (seed, digest, virtual time);
-	// sweep and bench jobs summarize into Digest alone.
+	// sweep jobs summarize into Digest alone.
 	Runs []RunRecord `json:"runs,omitempty"`
-	// Digest pins the job: a SHA-256 over the per-run digests (scenario),
-	// the sweep's aggregate digest, or the rendered bench tables.
+	// Digest pins the job: a SHA-256 over the per-run digests (scenario)
+	// or the sweep's aggregate digest.
 	Digest string `json:"digest"`
 	// Metrics are the job's comparable numbers, in a fixed order.
 	Metrics []Metric `json:"metrics"`

@@ -19,7 +19,7 @@ func BuiltinStudies() []Study {
 			{Name: "intranode-pingpong", Kind: KindScenario, Target: "paper-intranode-pingpong",
 				Messages: 200},
 			{Name: "grid", Kind: KindSweep, Target: "smoke-grid"},
-			{Name: "btp2-curve", Kind: KindBench, Target: "btp2", Iters: 25},
+			{Name: "btp2-curve", Kind: KindSweep, Target: "btp2"},
 		},
 	}
 
@@ -48,11 +48,11 @@ func BuiltinStudies() []Study {
 
 	longvector := Study{
 		Name:        "longvector",
-		Description: "the long-vector schedules: segmented ring bcast and rs-ag allreduce scenarios plus the bench comparison tables",
+		Description: "the long-vector schedules: segmented ring bcast and rs-ag allreduce scenarios plus the longvector sweep comparing them with the plain ring and the tree",
 		Jobs: []Job{
 			{Name: "bcast-seg", Kind: KindScenario, Target: "coll-bcast-seg"},
 			{Name: "allreduce-rsag", Kind: KindScenario, Target: "coll-allreduce-rsag"},
-			{Name: "tables", Kind: KindBench, Target: "longvector", Iters: 10},
+			{Name: "tables", Kind: KindSweep, Target: "longvector"},
 		},
 	}
 

@@ -1,11 +1,12 @@
 // Package lab is the study orchestration subsystem: it composes the
-// repo's three run kinds — declarative scenarios, parameter sweeps and
-// bench experiments — into named, replayable studies, runs them on the
-// scenario worker pool, and persists each capture as a schema-versioned
-// artifact in a plain-directory store. Artifacts are diffable:
-// Compare gates CI on per-job digests (hard failures) and per-metric
-// tolerances (flagged regressions), so the perf trajectory is enforced
-// by the build instead of remembered by hand.
+// repo's two run kinds — declarative scenarios and parameter sweeps
+// (the paper's latency curves among them) — into named, replayable
+// studies, runs them on the scenario worker pool, and persists each
+// capture as a schema-versioned artifact in a plain-directory store.
+// Artifacts are diffable: Compare gates CI on per-job digests (hard
+// failures) and per-metric tolerances (flagged regressions), so the
+// perf trajectory is enforced by the build instead of remembered by
+// hand.
 //
 // Everything a study runs is simulation-derived, so the artifact body —
 // everything except the capture stamp (time, commit, worker count) —
@@ -21,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"pushpull/internal/bench"
 	"pushpull/internal/scenario"
 	"pushpull/internal/strictjson"
 )
@@ -37,17 +37,15 @@ type Study struct {
 }
 
 // Job is one named unit of a study. Kind selects the run machinery;
-// Target names what runs (a builtin scenario/sweep/experiment, or — for
-// scenario and sweep jobs — a path to a JSON spec file). Fields that do
-// not apply to the job's kind are rejected at validation, field by
-// field, so a typo'd study fails expansion instead of silently running
-// something else.
+// Target names what runs (a builtin scenario or sweep, or a path to a
+// JSON spec or sweep file). Fields that do not apply to the job's kind
+// are rejected at validation, field by field, so a typo'd study fails
+// expansion instead of silently running something else.
 type Job struct {
 	Name string `json:"name"`
-	// Kind is "scenario", "sweep" or "bench".
+	// Kind is "scenario" or "sweep".
 	Kind string `json:"kind"`
-	// Target is the builtin scenario name / sweep name / bench
-	// experiment id, or a spec-file path for scenario and sweep jobs.
+	// Target is the builtin scenario or sweep name, or a spec-file path.
 	Target string `json:"target"`
 
 	// Scenario jobs: the spec runs once per seed. Seeds lists them
@@ -61,9 +59,6 @@ type Job struct {
 	Size      int    `json:"size,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"`
 
-	// Bench jobs: timed iterations per point (default 100).
-	Iters int `json:"iters,omitempty"`
-
 	// Workers overrides the study-level worker pool for this job
 	// (0 = inherit). It never changes the artifact body.
 	Workers int `json:"workers,omitempty"`
@@ -73,7 +68,6 @@ type Job struct {
 const (
 	KindScenario = "scenario"
 	KindSweep    = "sweep"
-	KindBench    = "bench"
 )
 
 // ConfigHash is the SHA-256 over the study's canonical JSON encoding.
@@ -143,9 +137,6 @@ func (st Study) Validate() error {
 		if j.Repetitions < 0 {
 			return fmt.Errorf("%s: repetitions %d is negative", where, j.Repetitions)
 		}
-		if j.Iters < 0 {
-			return fmt.Errorf("%s: iters %d is negative", where, j.Iters)
-		}
 		if j.Workers < 0 {
 			return fmt.Errorf("%s: workers %d is negative", where, j.Workers)
 		}
@@ -154,9 +145,6 @@ func (st Study) Validate() error {
 		}
 		switch j.Kind {
 		case KindScenario:
-			if j.Iters != 0 {
-				return fmt.Errorf("%s: iters applies to bench jobs only", where)
-			}
 			if _, err := resolveSpec(j.Target); err != nil {
 				return fmt.Errorf("%s: target: %w", where, err)
 			}
@@ -171,7 +159,6 @@ func (st Study) Validate() error {
 				{"messages", j.Messages != 0},
 				{"size", j.Size != 0},
 				{"algorithm", j.Algorithm != ""},
-				{"iters", j.Iters != 0},
 			} {
 				if f.set {
 					return fmt.Errorf("%s: %s does not apply to sweep jobs (the sweep's grid owns its parameters)", where, f.name)
@@ -180,27 +167,8 @@ func (st Study) Validate() error {
 			if _, err := resolveSweep(j.Target); err != nil {
 				return fmt.Errorf("%s: target: %w", where, err)
 			}
-		case KindBench:
-			for _, f := range []struct {
-				name string
-				set  bool
-			}{
-				{"repetitions", j.Repetitions != 0},
-				{"seed", j.Seed != 0},
-				{"seeds", len(j.Seeds) > 0},
-				{"messages", j.Messages != 0},
-				{"size", j.Size != 0},
-				{"algorithm", j.Algorithm != ""},
-			} {
-				if f.set {
-					return fmt.Errorf("%s: %s applies to scenario jobs only", where, f.name)
-				}
-			}
-			if _, err := bench.ByID(j.Target); err != nil {
-				return fmt.Errorf("%s: target: %w", where, err)
-			}
 		default:
-			return fmt.Errorf("%s: unknown kind %q (have %q, %q, %q)", where, j.Kind, KindScenario, KindSweep, KindBench)
+			return fmt.Errorf("%s: unknown kind %q (have %q, %q)", where, j.Kind, KindScenario, KindSweep)
 		}
 	}
 	return nil

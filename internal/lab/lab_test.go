@@ -107,9 +107,8 @@ func TestStudyValidationFieldErrors(t *testing.T) {
 		{"unknown scenario", func(s *Study) { s.Jobs[0].Target = "no-such-scenario" }, []string{"jobs[0]", "target", "no-such-scenario"}},
 		{"negative repetitions", func(s *Study) { s.Jobs[0].Repetitions = -1 }, []string{"jobs[0]", "repetitions -1"}},
 		{"seeds and repetitions", func(s *Study) { s.Jobs[0].Repetitions = 3 }, []string{"jobs[0]", "mutually exclusive"}},
-		{"iters on scenario", func(s *Study) { s.Jobs[0].Iters = 5 }, []string{"jobs[0]", "iters applies to bench"}},
-		{"unknown bench id", func(s *Study) { s.Jobs[0] = Job{Name: "b", Kind: KindBench, Target: "no-such-exp"} },
-			[]string{"jobs[0]", "no-such-exp"}},
+		{"retired bench kind", func(s *Study) { s.Jobs[0] = Job{Name: "b", Kind: "bench", Target: "btp2"} },
+			[]string{"jobs[0]", `unknown kind "bench"`}},
 		{"seed on sweep", func(s *Study) { s.Jobs[0] = Job{Name: "sw", Kind: KindSweep, Target: "smoke-grid", Seed: 3} },
 			[]string{"jobs[0]", "seed does not apply to sweep"}},
 		{"unknown sweep", func(s *Study) { s.Jobs[0] = Job{Name: "sw", Kind: KindSweep, Target: "no-such-sweep"} },

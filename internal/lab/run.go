@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"pushpull/internal/bench"
 	"pushpull/internal/scenario"
 )
 
@@ -40,8 +39,6 @@ func RunStudy(st Study, workers int) (*Artifact, error) {
 			jr, err = runScenarioJob(j, w)
 		case KindSweep:
 			jr, err = runSweepJob(j, w)
-		case KindBench:
-			jr, err = runBenchJob(j)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("lab: study %q: jobs[%d] (%q): %w", st.Name, i, j.Name, err)
@@ -187,34 +184,5 @@ func runSweepJob(j Job, workers int) (JobResult, error) {
 	// The per-point trimmed means are the sweep's sample set: their
 	// quantiles say how the grid's latency landscape moved.
 	jr.addQuantiles("trimmedMeanUS", "µs", means)
-	return jr, nil
-}
-
-func runBenchJob(j Job) (JobResult, error) {
-	exp, err := bench.ByID(j.Target)
-	if err != nil {
-		return JobResult{}, err
-	}
-	iters := j.Iters
-	if iters == 0 {
-		iters = 100
-	}
-	tables := exp.Run(bench.Params{Iters: iters})
-
-	jr := JobResult{Job: j.Name, Kind: j.Kind, Target: j.Target, Units: len(tables)}
-	h := sha256.New()
-	for i, tab := range tables {
-		// The CSV rendering is the table's canonical form: every row,
-		// every series, fixed precision.
-		fmt.Fprintf(h, "%d %s\n%s", i, tab.Title, tab.CSV())
-		var ys []float64
-		for _, s := range tab.Series {
-			for _, p := range s.Points {
-				ys = append(ys, p.Y)
-			}
-		}
-		jr.addQuantiles(fmt.Sprintf("t%d", i), tab.YLabel, ys)
-	}
-	jr.Digest = hex.EncodeToString(h.Sum(nil))
 	return jr, nil
 }

@@ -50,7 +50,7 @@ func TestBuiltinDigestsPinned(t *testing.T) {
 	specs := Builtin()
 
 	if *updateDigests {
-		pinned := make(map[string]string, len(specs))
+		pinned := make(map[string]string, len(specs)+len(pinnedSweeps))
 		for _, spec := range specs {
 			res, err := Run(spec)
 			if err != nil {
@@ -58,6 +58,11 @@ func TestBuiltinDigestsPinned(t *testing.T) {
 			}
 			pinned[spec.Name] = res.Digest
 			t.Logf("captured %-26s %s", spec.Name, res.Digest)
+		}
+		for _, name := range pinnedSweeps {
+			res := runPinnedSweep(t, name)
+			pinned[sweepDigestKey+name] = res.Digest
+			t.Logf("captured %-26s %s", sweepDigestKey+name, res.Digest)
 		}
 		// json.MarshalIndent sorts map keys, so the capture is stable.
 		out, err := json.MarshalIndent(pinned, "", "  ")
@@ -74,9 +79,9 @@ func TestBuiltinDigestsPinned(t *testing.T) {
 	}
 
 	pinned := readPinnedDigests(t)
-	if len(specs) != len(pinned) {
-		t.Errorf("have %d builtin scenarios but %d pinned digests — run `make digests` and review the diff",
-			len(specs), len(pinned))
+	if want := len(specs) + len(pinnedSweeps); want != len(pinned) {
+		t.Errorf("have %d builtin scenarios and pinned sweeps but %d pinned digests — run `make digests` and review the diff",
+			want, len(pinned))
 	}
 	for _, spec := range specs {
 		spec := spec
@@ -92,6 +97,49 @@ func TestBuiltinDigestsPinned(t *testing.T) {
 			if res.Digest != want {
 				t.Errorf("digest diverged from the pinned capture (wire-behavior change? run `make digests` and review):\n  got  %s\n  want %s",
 					res.Digest, want)
+			}
+		})
+	}
+}
+
+// pinnedSweeps are the builtin CI sweeps whose aggregate digests
+// testdata/digests.json pins under sweepDigestKey+name. The figure
+// sweeps are left out: at the paper's message counts they take seconds
+// each, and pushpull-bench's tables print what they measure.
+var pinnedSweeps = []string{"smoke-grid", "perm-study", "coll-smoke", "fault-smoke", "proto-grid"}
+
+const sweepDigestKey = "sweep/"
+
+func runPinnedSweep(t *testing.T, name string) *SweepResult {
+	t.Helper()
+	sw, err := SweepByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSweep(sw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestBuiltinSweepDigestsPinned is TestBuiltinDigestsPinned for the CI
+// sweeps: every point's run, its grid order and its name feed the
+// aggregate digest, so a change to the expansion shows up here as well
+// as a wire-behavior change.
+func TestBuiltinSweepDigestsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweep runs are not short")
+	}
+	pinned := readPinnedDigests(t)
+	for _, name := range pinnedSweeps {
+		t.Run(name, func(t *testing.T) {
+			want, ok := pinned[sweepDigestKey+name]
+			if !ok {
+				t.Fatalf("no pinned digest for sweep %q — run `make digests` and review the diff", name)
+			}
+			if got := runPinnedSweep(t, name).Digest; got != want {
+				t.Errorf("aggregate digest diverged from the pinned capture:\n  got  %s\n  want %s", got, want)
 			}
 		})
 	}

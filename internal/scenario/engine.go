@@ -37,8 +37,8 @@ func Run(spec Spec, opts ...RunOption) (*Result, error) {
 }
 
 // RunConfig is Run for callers that already hold a full cluster.Config
-// (the bench harness sweeps config fields the declarative topology
-// doesn't name, e.g. NIC ring sizes or SMP path costs). The spec
+// (the repo benchmark lowers each workload onto a cluster.Config by hand
+// so it can time cluster.New on the very config that runs). The spec
 // contributes the traffic pattern, the adaptive-protocol switch and the
 // labels; the cluster seed comes from cfg.
 func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error) {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pushpull/internal/fault"
@@ -151,18 +152,16 @@ func TestDegradationNilWithoutPlan(t *testing.T) {
 	}
 }
 
-// TestFaultSweepAxis pins the faultPlans sweep axis: presets resolve,
-// unknown names fail expansion whole, and every cell of the builtin
-// fault-smoke grid labels itself with its preset.
+// TestFaultSweepAxis pins the fault axis: a misspelt plan field fails
+// the expansion whole, and every cell of the builtin fault-smoke grid
+// labels itself with its plan.
 func TestFaultSweepAxis(t *testing.T) {
-	if _, err := FaultPlanByName("typo"); err == nil {
-		t.Error("FaultPlanByName accepted an unknown preset")
-	}
 	sw := Sweep{Base: DefaultSpec(), Name: "bad"}
 	sw.Base.Traffic = Traffic{Pattern: "pingpong", Size: 100, Messages: 1}
-	sw.Grid = Grid{FaultPlans: []string{"none", "typo"}}
-	if _, err := sw.Expand(); err == nil {
-		t.Error("Expand accepted a grid with an unknown fault preset")
+	sw.Grid = Grid{Axes: []Axis{{Key: "faults", Field: "faults",
+		Values: raw(`null`, `{"evnts":[]}`), Labels: []string{"none", "typo"}}}}
+	if _, err := sw.Expand(); err == nil || !strings.Contains(err.Error(), `"evnts"`) {
+		t.Errorf("Expand() = %v, want the misspelt plan field named", err)
 	}
 
 	fs, err := SweepByName("fault-smoke")
@@ -177,14 +176,15 @@ func TestFaultSweepAxis(t *testing.T) {
 		t.Fatalf("fault-smoke expanded to %d points, want 8", len(points))
 	}
 	for _, pt := range points {
-		if pt.FaultPlan == "" {
+		none := strings.Contains(pt.Spec.Name, "/faults=none,")
+		if !strings.Contains(pt.Spec.Name, "/faults=") {
 			t.Errorf("point %q lost its fault-plan label", pt.Spec.Name)
 		}
-		if pt.FaultPlan == "none" && pt.Spec.Faults != nil {
-			t.Errorf("point %q: preset none left a plan armed", pt.Spec.Name)
+		if none && pt.Spec.Faults != nil {
+			t.Errorf("point %q: plan none left a plan armed", pt.Spec.Name)
 		}
-		if pt.FaultPlan != "none" && pt.Spec.Faults == nil {
-			t.Errorf("point %q: preset %s armed no plan", pt.Spec.Name, pt.FaultPlan)
+		if !none && pt.Spec.Faults == nil {
+			t.Errorf("point %q armed no plan", pt.Spec.Name)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func runSim(c *cluster.Cluster, s Spec) error {
 
 // pair returns the two communicating processes of the two-endpoint
 // patterns: (0,0) and, on a single-node cluster, (0,1), otherwise (1,0)
-// — exactly the bench harness's Workload.build choice.
+// — the paper's intranode and internode routes.
 func pair(c *cluster.Cluster) (a, b *comm.Comm) {
 	a = comm.At(c, 0, 0)
 	if len(c.Nodes) == 1 {

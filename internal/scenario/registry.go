@@ -8,10 +8,9 @@ import (
 )
 
 // Builtin returns the named scenarios shipped with the engine: the
-// paper's own measurement shapes expressed declaratively, plus the
-// workload shapes the bespoke bench drivers could not express. Each
-// entry is a complete Spec — print it with Spec.JSON, tweak fields, and
-// feed it back through ParseSpec.
+// paper's own measurement shapes expressed declaratively, plus workload
+// shapes beyond the paper's. Each entry is a complete Spec — print it
+// with Spec.JSON, tweak fields, and feed it back through ParseSpec.
 func Builtin() []Spec {
 	base := func(name, desc string) Spec {
 		s := DefaultSpec()

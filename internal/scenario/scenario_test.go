@@ -189,6 +189,27 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsInertValues: values the lowering cannot honour
+// fail parsing with an error naming the field — a negative node count
+// once ran as the 2-rank default, and a loss rate above 1 burned the
+// whole virtual budget.
+func TestParseSpecRejectsInertValues(t *testing.T) {
+	for _, tc := range []struct {
+		in, want string
+	}{
+		{`{"topology":{"nodes":-3}}`, "topology.nodes must be positive, got -3"},
+		{`{"topology":{"procsPerNode":-1}}`, "topology.procsPerNode must be positive, got -1"},
+		{`{"protocol":{"gbnWindow":-8}}`, "protocol.gbnWindow must be positive, got -8"},
+		{`{"protocol":{"rtoMs":-2}}`, "protocol.rtoMs must be positive, got -2"},
+		{`{"protocol":{"pushedBufBytes":-1}}`, "protocol.pushedBufBytes must be positive, got -1"},
+		{`{"topology":{"lossRate":1.5}}`, "topology.lossRate 1.5 outside [0, 1]"},
+	} {
+		if _, err := ParseSpec([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSpec(%s) = %v, want error containing %q", tc.in, err, tc.want)
+		}
+	}
+}
+
 // TestSpecValidation rejects the junk a CLI user can type.
 func TestSpecValidation(t *testing.T) {
 	cases := []struct {

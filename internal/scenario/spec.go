@@ -6,9 +6,9 @@
 // whole thing deterministically on the simulation engine and emits a
 // machine-readable Result.
 //
-// The paper's experiments (internal/bench) are expressed through the
-// same engine; the pattern vocabulary additionally covers workload
-// shapes the bespoke bench drivers could not: hotspot (all-to-one),
+// The paper's latency curves are builtin sweeps of this engine, which
+// internal/bench renders as tables; the pattern vocabulary also covers
+// workload shapes beyond the paper's: hotspot (all-to-one),
 // random permutation, bursty on/off senders, pipeline chains, and an
 // irregular wavefront where every received message triggers sends of
 // data-derived sizes to data-derived targets.
@@ -237,6 +237,25 @@ func (s Spec) Validate() error {
 	if s.Traffic.SegmentBytes < 0 {
 		return fmt.Errorf("scenario: traffic segmentBytes %d is negative", s.Traffic.SegmentBytes)
 	}
+	// The lowering takes these as given: a non-positive value would fail
+	// deep in the cluster builder or, worse, run as something else.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"topology.nodes", float64(s.Topology.Nodes)},
+		{"topology.procsPerNode", float64(s.Topology.ProcsPerNode)},
+		{"protocol.pushedBufBytes", float64(s.Protocol.PushedBufBytes)},
+		{"protocol.gbnWindow", float64(s.Protocol.GBNWindow)},
+		{"protocol.rtoMs", s.Protocol.RTOMs},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("scenario: %s must be positive, got %g", f.name, f.v)
+		}
+	}
+	if l := s.Topology.LossRate; !(l >= 0 && l <= 1) {
+		return fmt.Errorf("scenario: topology.lossRate %g outside [0, 1]", l)
+	}
 	cfg, err := s.clusterConfig()
 	if err != nil {
 		return err
@@ -288,12 +307,8 @@ func (s Spec) clusterConfig() (cluster.Config, error) {
 	cfg.Seed = s.Seed
 
 	t := s.Topology
-	if t.Nodes > 0 {
-		cfg.Nodes = t.Nodes
-	}
-	if t.ProcsPerNode > 0 {
-		cfg.ProcsPerNode = t.ProcsPerNode
-	}
+	cfg.Nodes = t.Nodes
+	cfg.ProcsPerNode = t.ProcsPerNode
 	switch t.Kind {
 	case "", "back-to-back":
 		// Direct cables join exactly two nodes; silently substituting a
@@ -344,20 +359,14 @@ func (s Spec) clusterConfig() (cluster.Config, error) {
 	cfg.Opts.BTP1 = p.BTP1
 	cfg.Opts.BTP2 = p.BTP2
 	cfg.Opts.IntraBTP = p.IntraBTP
-	if p.PushedBufBytes > 0 {
-		cfg.Opts.PushedBufBytes = p.PushedBufBytes
-	}
+	cfg.Opts.PushedBufBytes = p.PushedBufBytes
 	cfg.Opts.MaskTranslation = p.MaskTranslation
 	cfg.Opts.OverlapAck = p.OverlapAck
 	cfg.Opts.UserTrigger = p.UserTrigger
 	cfg.Opts.PullLocal = p.PullLocal
 	cfg.Opts.DisableZeroBuffer = p.DisableZeroBuffer
-	if p.GBNWindow > 0 {
-		cfg.Opts.GBN.Window = p.GBNWindow
-	}
-	if p.RTOMs > 0 {
-		cfg.Opts.GBN.RTO = sim.Duration(p.RTOMs * float64(sim.Millisecond))
-	}
+	cfg.Opts.GBN.Window = p.GBNWindow
+	cfg.Opts.GBN.RTO = sim.Duration(p.RTOMs * float64(sim.Millisecond))
 	cfg.Opts.GBN.Adaptive = p.AdaptiveRTO
 	if p.MinRTOMs > 0 {
 		cfg.Opts.GBN.MinRTO = sim.Duration(p.MinRTOMs * float64(sim.Millisecond))

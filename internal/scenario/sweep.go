@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"pushpull/internal/fault"
@@ -27,90 +29,129 @@ type Sweep struct {
 	Grid Grid `json:"grid"`
 }
 
-// Grid names the swept axes. An empty axis keeps the base value; the
-// expansion is the cartesian product of the non-empty axes, ordered
-// nodes (outermost) > procsPerNode > pushedBufBytes > sizes >
-// lossRates > rtoMs > gbnWindow > algorithms > faultPlans > seeds
-// (innermost).
+// Grid names the swept axes. The expansion is the cartesian product of
+// Axes in list order (the first outermost) with Seeds innermost; no
+// seeds keeps the base seed.
 type Grid struct {
-	// Nodes varies Topology.Nodes.
-	Nodes []int `json:"nodes,omitempty"`
-	// ProcsPerNode varies Topology.ProcsPerNode.
-	ProcsPerNode []int `json:"procsPerNode,omitempty"`
-	// PushedBufBytes varies Protocol.PushedBufBytes.
-	PushedBufBytes []int `json:"pushedBufBytes,omitempty"`
-	// Sizes varies Traffic.Size.
-	Sizes []int `json:"sizes,omitempty"`
-	// LossRates varies Topology.LossRate.
-	LossRates []float64 `json:"lossRates,omitempty"`
-	// RTOMs varies Protocol.RTOMs (the go-back-N fixed retransmission
-	// timeout, milliseconds).
-	RTOMs []float64 `json:"rtoMs,omitempty"`
-	// GBNWindows varies Protocol.GBNWindow (the go-back-N send window,
-	// frames).
-	GBNWindows []int `json:"gbnWindows,omitempty"`
-	// Algorithms varies Traffic.Algorithm (collective patterns only —
-	// expansion fails on a pattern with no algorithm axis).
-	Algorithms []string `json:"algorithms,omitempty"`
-	// FaultPlans varies Spec.Faults over the named presets of
-	// FaultPlanByName ("none" clears the base plan), so degradation
-	// studies sweep fault shapes like any other parameter.
-	FaultPlans []string `json:"faultPlans,omitempty"`
-	// Seeds varies Seed.
+	Axes []Axis `json:"axes,omitempty"`
+	// Seeds varies Spec.Seed.
 	Seeds []uint64 `json:"seeds,omitempty"`
 }
 
-// FaultPlanNames lists the named fault-plan presets a sweep's
-// faultPlans axis accepts, sorted.
-func FaultPlanNames() []string { return []string{"blackout-5ms", "burst-loss", "flap", "none"} }
-
-// FaultPlanByName returns a preset fault plan for sweep axes: small,
-// one-event shapes targeting node 1 (present in every networked
-// topology). "none" returns nil — the clean-baseline cell.
-func FaultPlanByName(name string) (*fault.Plan, error) {
-	switch name {
-	case "none":
-		return nil, nil
-	case "blackout-5ms":
-		return &fault.Plan{Events: []fault.Event{
-			{Kind: fault.KindLinkDown, Node: 1, AtMS: 1, UntilMS: 6},
-		}}, nil
-	case "flap":
-		return &fault.Plan{Events: []fault.Event{
-			{Kind: fault.KindLinkFlap, Node: 1, AtMS: 0, UntilMS: 10,
-				PeriodMS: 1, DutyCycle: 0.6, Random: true},
-		}}, nil
-	case "burst-loss":
-		return &fault.Plan{Events: []fault.Event{
-			{Kind: fault.KindLossBurst, Node: 1, AtMS: 0, UntilMS: 20,
-				PEnterBurst: 0.03, PExitBurst: 0.25, BurstLoss: 0.5},
-		}}, nil
-	}
-	return nil, fmt.Errorf("scenario: unknown fault plan %q (have %v)", name, FaultPlanNames())
+// Axis varies one spec field. Each value is JSON decoded strictly onto
+// the point's spec at Field, a dotted path of JSON field names
+// ("protocol.btp2"), so a misspelt field is an error naming it. An
+// object value overlays several fields of the object at Field at once
+// (Field "protocol" with {"maskTranslation":false,"userTrigger":false}).
+type Axis struct {
+	// Key names the axis in point names: key=label.
+	Key   string `json:"key"`
+	Field string `json:"field"`
+	// Values are the raw JSON values, in grid order.
+	Values []json.RawMessage `json:"values"`
+	// Labels, when set, name the values one for one; otherwise a
+	// value's label is its JSON text, with strings unquoted.
+	Labels []string `json:"labels,omitempty"`
 }
+
+// MaxPoints bounds a grid's expansion: a bigger grid is rejected before
+// anything is allocated for it.
+const MaxPoints = 1 << 16
 
 // Point is one expanded grid cell: a complete runnable Spec plus its
-// position in grid order. FaultPlan records the cell's faultPlans
-// preset name ("" when that axis is not swept) — the plan itself lives
-// in Spec.Faults, but results label cells by name.
+// position in grid order.
 type Point struct {
-	Index     int
-	Spec      Spec
-	FaultPlan string
+	Index int
+	Spec  Spec
 }
 
-// Points reports the expansion size without expanding.
+// Points reports the expansion size without expanding. It stops
+// multiplying once the product exceeds MaxPoints, so any result above
+// MaxPoints only means "too many" and the product cannot overflow.
 func (g Grid) Points() int {
-	n := 1
-	for _, axis := range []int{
-		len(g.Nodes), len(g.ProcsPerNode), len(g.PushedBufBytes), len(g.Sizes), len(g.LossRates),
-		len(g.RTOMs), len(g.GBNWindows), len(g.Algorithms), len(g.FaultPlans), len(g.Seeds),
-	} {
-		if axis > 0 {
-			n *= axis
+	n := max(len(g.Seeds), 1)
+	for _, ax := range g.Axes {
+		if n > MaxPoints {
+			break
 		}
+		n *= len(ax.Values)
 	}
 	return n
+}
+
+// Label names value i of the axis in point names.
+func (ax Axis) Label(i int) string {
+	if len(ax.Labels) > 0 {
+		return ax.Labels[i]
+	}
+	var s string
+	if json.Unmarshal(ax.Values[i], &s) == nil {
+		return s
+	}
+	var b bytes.Buffer
+	if json.Compact(&b, ax.Values[i]) != nil {
+		return string(ax.Values[i])
+	}
+	return b.String()
+}
+
+// apply decodes value i onto s at the axis's field path by wrapping it
+// in one JSON object per path element.
+func (ax Axis) apply(s *Spec, i int) error {
+	path := strings.Split(ax.Field, ".")
+	var b bytes.Buffer
+	for _, name := range path {
+		key, _ := json.Marshal(name)
+		b.WriteByte('{')
+		b.Write(key)
+		b.WriteByte(':')
+	}
+	b.Write(ax.Values[i])
+	b.WriteString(strings.Repeat("}", len(path)))
+	return strictjson.Unmarshal(b.Bytes(), s)
+}
+
+// clone copies s deeply enough that decoding onto the copy never writes
+// through to s: Faults is the only reference the spec holds.
+func (s Spec) clone() Spec {
+	if s.Faults != nil {
+		plan := *s.Faults
+		plan.Events = append([]fault.Event(nil), plan.Events...)
+		s.Faults = &plan
+	}
+	return s
+}
+
+// validate checks the grid's shape: every axis names a key, a field and
+// at least one value, labels match values, and the product stays within
+// MaxPoints.
+func (g Grid) validate() error {
+	keys := make(map[string]bool, len(g.Axes))
+	for i, ax := range g.Axes {
+		switch {
+		case ax.Key == "":
+			return fmt.Errorf("scenario: sweep grid axes[%d]: key is empty", i)
+		case keys[ax.Key]:
+			return fmt.Errorf("scenario: sweep grid axes[%d]: duplicate key %q", i, ax.Key)
+		case ax.Field == "":
+			return fmt.Errorf("scenario: sweep grid axis %q: field is empty", ax.Key)
+		case len(ax.Values) == 0:
+			return fmt.Errorf("scenario: sweep grid axis %q: values is empty", ax.Key)
+		case len(ax.Labels) > 0 && len(ax.Labels) != len(ax.Values):
+			return fmt.Errorf("scenario: sweep grid axis %q: %d labels for %d values", ax.Key, len(ax.Labels), len(ax.Values))
+		}
+		keys[ax.Key] = true
+		for v := range ax.Values {
+			// An empty label would name the point after no value at all.
+			if ax.Label(v) == "" {
+				return fmt.Errorf("scenario: sweep grid axis %q: values[%d] has an empty label (name it explicitly)", ax.Key, v)
+			}
+		}
+	}
+	if n := g.Points(); n > MaxPoints {
+		return fmt.Errorf("scenario: sweep grid has more than %d points (its axes and seeds multiply past the limit)", MaxPoints)
+	}
+	return nil
 }
 
 // Expand materializes the grid in its deterministic order. Every point
@@ -118,138 +159,54 @@ func (g Grid) Points() int {
 // kind cannot host) fails the whole expansion, so a sweep never runs
 // half a study.
 func (sw Sweep) Expand() ([]Point, error) {
-	// Non-positive axis values would be silently ignored by the spec
-	// lowering (clusterConfig only applies them when > 0), leaving the
-	// point labelled with a parameter it did not run — reject them
-	// outright. Sizes <= 0 are caught by Spec.Validate below.
-	for _, n := range sw.Grid.Nodes {
-		if n <= 0 {
-			return nil, fmt.Errorf("scenario: sweep grid nodes value %d is not positive", n)
-		}
+	if err := sw.Grid.validate(); err != nil {
+		return nil, err
 	}
-	for _, p := range sw.Grid.ProcsPerNode {
-		if p <= 0 {
-			return nil, fmt.Errorf("scenario: sweep grid procsPerNode value %d is not positive", p)
-		}
-	}
-	for _, b := range sw.Grid.PushedBufBytes {
-		if b <= 0 {
-			return nil, fmt.Errorf("scenario: sweep grid pushedBufBytes value %d is not positive", b)
-		}
-	}
-	for _, r := range sw.Grid.RTOMs {
-		if r <= 0 {
-			return nil, fmt.Errorf("scenario: sweep grid rtoMs value %g is not positive", r)
-		}
-	}
-	for _, w := range sw.Grid.GBNWindows {
-		if w <= 0 {
-			return nil, fmt.Errorf("scenario: sweep grid gbnWindows value %d is not positive", w)
-		}
-	}
-	for _, l := range sw.Grid.LossRates {
-		if l < 0 || l > 1 {
-			return nil, fmt.Errorf("scenario: sweep grid loss rate %g outside [0, 1]", l)
-		}
-	}
-	for _, a := range sw.Grid.Algorithms {
-		// An empty value would silently mean "the default" while the
-		// point's name claims an explicit algorithm — reject it.
-		if a == "" {
-			return nil, fmt.Errorf("scenario: sweep grid algorithms value is empty (name an algorithm explicitly)")
-		}
-	}
-	for _, f := range sw.Grid.FaultPlans {
-		// Resolve every preset up front: a typo fails the expansion, not
-		// point N of a half-run study.
-		if _, err := FaultPlanByName(f); err != nil {
-			return nil, fmt.Errorf("scenario: sweep grid faultPlans: %w", err)
-		}
-	}
-	axes := []struct {
-		key    string
-		n      int
-		format func(i int) string
-		apply  func(s *Spec, i int)
-	}{
-		{"nodes", len(sw.Grid.Nodes),
-			func(i int) string { return fmt.Sprintf("%d", sw.Grid.Nodes[i]) },
-			func(s *Spec, i int) { s.Topology.Nodes = sw.Grid.Nodes[i] }},
-		{"procs", len(sw.Grid.ProcsPerNode),
-			func(i int) string { return fmt.Sprintf("%d", sw.Grid.ProcsPerNode[i]) },
-			func(s *Spec, i int) { s.Topology.ProcsPerNode = sw.Grid.ProcsPerNode[i] }},
-		{"buf", len(sw.Grid.PushedBufBytes),
-			func(i int) string { return fmt.Sprintf("%d", sw.Grid.PushedBufBytes[i]) },
-			func(s *Spec, i int) { s.Protocol.PushedBufBytes = sw.Grid.PushedBufBytes[i] }},
-		{"size", len(sw.Grid.Sizes),
-			func(i int) string { return fmt.Sprintf("%d", sw.Grid.Sizes[i]) },
-			func(s *Spec, i int) { s.Traffic.Size = sw.Grid.Sizes[i] }},
-		{"loss", len(sw.Grid.LossRates),
-			func(i int) string { return fmt.Sprintf("%g", sw.Grid.LossRates[i]) },
-			func(s *Spec, i int) { s.Topology.LossRate = sw.Grid.LossRates[i] }},
-		{"rto", len(sw.Grid.RTOMs),
-			func(i int) string { return fmt.Sprintf("%g", sw.Grid.RTOMs[i]) },
-			func(s *Spec, i int) { s.Protocol.RTOMs = sw.Grid.RTOMs[i] }},
-		{"win", len(sw.Grid.GBNWindows),
-			func(i int) string { return fmt.Sprintf("%d", sw.Grid.GBNWindows[i]) },
-			func(s *Spec, i int) { s.Protocol.GBNWindow = sw.Grid.GBNWindows[i] }},
-		{"alg", len(sw.Grid.Algorithms),
-			func(i int) string { return sw.Grid.Algorithms[i] },
-			func(s *Spec, i int) { s.Traffic.Algorithm = sw.Grid.Algorithms[i] }},
-		{"faults", len(sw.Grid.FaultPlans),
-			func(i int) string { return sw.Grid.FaultPlans[i] },
-			func(s *Spec, i int) {
-				p, _ := FaultPlanByName(sw.Grid.FaultPlans[i]) // pre-validated above
-				s.Faults = p
-			}},
-		{"seed", len(sw.Grid.Seeds),
-			func(i int) string { return fmt.Sprintf("%d", sw.Grid.Seeds[i]) },
-			func(s *Spec, i int) { s.Seed = sw.Grid.Seeds[i] }},
-	}
-
-	base := sw.Base
 	name := sw.Name
 	if name == "" {
-		name = base.Name
+		name = sw.Base.Name
 	}
+	// The seeds are the innermost axis; an empty list keeps the base.
+	seeds := sw.Grid.Seeds
+	if len(seeds) == 0 {
+		seeds = []uint64{sw.Base.Seed}
+	}
+	axes := sw.Grid.Axes
 	points := make([]Point, 0, sw.Grid.Points())
-	// idx walks the mixed-radix counter over the non-empty axes, seeds
-	// fastest — a plain counting loop keeps the order self-evident.
+	// idx walks the mixed-radix counter over the axes, last fastest — a
+	// plain counting loop keeps the order self-evident.
 	idx := make([]int, len(axes))
 	for {
-		spec := base
-		suffix := ""
-		faultPlan := ""
+		spec := sw.Base.clone()
+		var labels []string
 		for a, ax := range axes {
-			if ax.n == 0 {
-				continue
+			if err := ax.apply(&spec, idx[a]); err != nil {
+				return nil, fmt.Errorf("scenario: sweep %q axis %q field %q values[%d]: %w", name, ax.Key, ax.Field, idx[a], err)
 			}
-			ax.apply(&spec, idx[a])
-			if ax.key == "faults" {
-				faultPlan = ax.format(idx[a])
+			labels = append(labels, ax.Key+"="+ax.Label(idx[a]))
+		}
+		for _, seed := range seeds {
+			pt := spec
+			pt.Seed = seed
+			suffix := labels
+			if len(sw.Grid.Seeds) > 0 {
+				suffix = append(suffix[:len(suffix):len(suffix)], fmt.Sprintf("seed=%d", seed))
 			}
-			if suffix != "" {
-				suffix += ","
+			pt.Name = name
+			if len(suffix) > 0 {
+				pt.Name = name + "/" + strings.Join(suffix, ",")
 			}
-			suffix += ax.key + "=" + ax.format(idx[a])
+			if err := pt.Validate(); err != nil {
+				return nil, fmt.Errorf("scenario: sweep %q point %q: %w", name, pt.Name, err)
+			}
+			points = append(points, Point{Index: len(points), Spec: pt})
 		}
-		spec.Name = name
-		if suffix != "" {
-			spec.Name = name + "/" + suffix
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario: sweep %q point %q: %w", name, spec.Name, err)
-		}
-		points = append(points, Point{Index: len(points), Spec: spec, FaultPlan: faultPlan})
 
 		// Increment the counter, innermost (last) axis fastest.
 		a := len(axes) - 1
 		for ; a >= 0; a-- {
-			if axes[a].n == 0 {
-				continue
-			}
 			idx[a]++
-			if idx[a] < axes[a].n {
+			if idx[a] < len(axes[a].Values) {
 				break
 			}
 			idx[a] = 0
@@ -272,11 +229,8 @@ type PointResult struct {
 	Size           int     `json:"size"`
 	LossRate       float64 `json:"lossRate"`
 	Algorithm      string  `json:"algorithm,omitempty"`
-	// FaultPlan names the cell's faultPlans preset ("" when the axis is
-	// not swept).
-	FaultPlan string `json:"faultPlan,omitempty"`
-	Seed      uint64 `json:"seed"`
-	Error     string `json:"error,omitempty"`
+	Seed           uint64  `json:"seed"`
+	Error          string  `json:"error,omitempty"`
 	// BudgetExhausted flags an Error that was a virtual-time-budget
 	// exhaustion (protocol deadlock or retransmission livelock), so
 	// sweeps over pathological cells are machine-checkable without
@@ -399,7 +353,6 @@ func runPoint(pt Point, opts ...RunOption) (pr PointResult) {
 		Size:           s.Traffic.Size,
 		LossRate:       s.Topology.LossRate,
 		Algorithm:      s.Traffic.Algorithm,
-		FaultPlan:      pt.FaultPlan,
 		Seed:           s.Seed,
 	}
 	defer func() {
@@ -442,9 +395,31 @@ func (sw Sweep) JSON() []byte {
 	return out
 }
 
+// values encodes Go values as axis values.
+func values[T any](vs ...T) []json.RawMessage {
+	out := make([]json.RawMessage, len(vs))
+	for i, v := range vs {
+		enc, err := json.Marshal(v)
+		if err != nil {
+			panic(err) // plain data: cannot fail
+		}
+		out[i] = enc
+	}
+	return out
+}
+
+// raw wraps JSON literals as axis values.
+func raw(vs ...string) []json.RawMessage {
+	out := make([]json.RawMessage, len(vs))
+	for i, v := range vs {
+		out[i] = json.RawMessage(v)
+	}
+	return out
+}
+
 // BuiltinSweeps returns the named parameter studies shipped with the
-// engine: a small grid for CI determinism checks and a larger study
-// exercising every axis.
+// engine: small grids for CI determinism checks, a larger study, and
+// the paper's latency curves (figureSweeps).
 func BuiltinSweeps() []Sweep {
 	smoke := Sweep{
 		Name:        "smoke-grid",
@@ -454,8 +429,10 @@ func BuiltinSweeps() []Sweep {
 	smoke.Base.Topology = Topology{Kind: "switch", Nodes: 2, ProcsPerNode: 1, Policy: "symmetric"}
 	smoke.Base.Traffic = Traffic{Pattern: "permutation", Size: 1400, Messages: 10}
 	smoke.Grid = Grid{
-		Nodes: []int{2, 4},
-		Sizes: []int{256, 1400},
+		Axes: []Axis{
+			{Key: "nodes", Field: "topology.nodes", Values: values(2, 4)},
+			{Key: "size", Field: "traffic.size", Values: values(256, 1400)},
+		},
 		Seeds: []uint64{1, 2},
 	}
 
@@ -468,11 +445,13 @@ func BuiltinSweeps() []Sweep {
 	study.Base.Protocol.RTOMs = 2
 	study.Base.Traffic = Traffic{Pattern: "permutation", Size: 1400, Messages: 30}
 	study.Grid = Grid{
-		Nodes:          []int{4, 6},
-		PushedBufBytes: []int{4096, 16384},
-		Sizes:          []int{1400, 4096},
-		LossRates:      []float64{0, 0.005},
-		Seeds:          []uint64{1, 2, 3},
+		Axes: []Axis{
+			{Key: "nodes", Field: "topology.nodes", Values: values(4, 6)},
+			{Key: "buf", Field: "protocol.pushedBufBytes", Values: values(4096, 16384)},
+			{Key: "size", Field: "traffic.size", Values: values(1400, 4096)},
+			{Key: "loss", Field: "topology.lossRate", Values: values(0, 0.005)},
+		},
+		Seeds: []uint64{1, 2, 3},
 	}
 
 	collSmoke := Sweep{
@@ -483,14 +462,16 @@ func BuiltinSweeps() []Sweep {
 	collSmoke.Base.Topology = Topology{Kind: "switch", Nodes: 4, ProcsPerNode: 1, Policy: "symmetric"}
 	collSmoke.Base.Traffic = Traffic{Pattern: "allreduce", Size: 1024, Messages: 5}
 	collSmoke.Grid = Grid{
-		Nodes:      []int{2, 4},
-		Algorithms: []string{"tree", "recursive-doubling", "ring", "rs-ag"},
-		Seeds:      []uint64{1, 2},
+		Axes: []Axis{
+			{Key: "nodes", Field: "topology.nodes", Values: values(2, 4)},
+			{Key: "alg", Field: "traffic.algorithm", Values: values("tree", "recursive-doubling", "ring", "rs-ag")},
+		},
+		Seeds: []uint64{1, 2},
 	}
 
 	faultSmoke := Sweep{
 		Name:        "fault-smoke",
-		Description: "CI grid for the fault family: internode ping-pong over faultPlan x seed (8 points, seconds) — pins that every preset degrades and recovers identically across worker counts",
+		Description: "CI grid for the fault family: internode ping-pong over fault plan x seed (8 points, seconds) — pins that every plan degrades and recovers identically across worker counts",
 		Base:        DefaultSpec(),
 	}
 	faultSmoke.Base.Traffic = Traffic{Pattern: "pingpong", Size: 1400, Messages: 100}
@@ -498,25 +479,44 @@ func BuiltinSweeps() []Sweep {
 	faultSmoke.Base.Protocol.AdaptiveRTO = true
 	faultSmoke.Base.Protocol.MaxRetries = 10
 	faultSmoke.Base.MaxVirtualMS = 3000
+	// Small one-event shapes on node 1, present in every networked
+	// topology; null is the clean baseline.
 	faultSmoke.Grid = Grid{
-		FaultPlans: []string{"none", "blackout-5ms", "flap", "burst-loss"},
-		Seeds:      []uint64{1, 2},
+		Axes: []Axis{{
+			Key: "faults", Field: "faults",
+			Values: values(nil,
+				&fault.Plan{Events: []fault.Event{
+					{Kind: fault.KindLinkDown, Node: 1, AtMS: 1, UntilMS: 6},
+				}},
+				&fault.Plan{Events: []fault.Event{
+					{Kind: fault.KindLinkFlap, Node: 1, AtMS: 0, UntilMS: 10,
+						PeriodMS: 1, DutyCycle: 0.6, Random: true},
+				}},
+				&fault.Plan{Events: []fault.Event{
+					{Kind: fault.KindLossBurst, Node: 1, AtMS: 0, UntilMS: 20,
+						PEnterBurst: 0.03, PExitBurst: 0.25, BurstLoss: 0.5},
+				}}),
+			Labels: []string{"none", "blackout-5ms", "flap", "burst-loss"},
+		}},
+		Seeds: []uint64{1, 2},
 	}
 
 	protoGrid := Sweep{
 		Name:        "proto-grid",
-		Description: "CI grid for the transport axes: internode ping-pong over procsPerNode x rtoMs x gbnWindow on a lossy wire (8 points, seconds)",
+		Description: "CI grid for the transport fields: internode ping-pong over procsPerNode x rtoMs x gbnWindow on a lossy wire (8 points, seconds)",
 		Base:        DefaultSpec(),
 	}
 	protoGrid.Base.Topology.LossRate = 0.002 // make the RTO/window axes matter
 	protoGrid.Base.Traffic = Traffic{Pattern: "pingpong", Size: 1400, Messages: 50}
 	protoGrid.Grid = Grid{
-		ProcsPerNode: []int{1, 2},
-		RTOMs:        []float64{2, 8},
-		GBNWindows:   []int{8, 32},
+		Axes: []Axis{
+			{Key: "procs", Field: "topology.procsPerNode", Values: values(1, 2)},
+			{Key: "rto", Field: "protocol.rtoMs", Values: values(2, 8)},
+			{Key: "win", Field: "protocol.gbnWindow", Values: values(8, 32)},
+		},
 	}
 
-	return []Sweep{smoke, study, collSmoke, faultSmoke, protoGrid}
+	return append([]Sweep{smoke, study, collSmoke, faultSmoke, protoGrid}, figureSweeps()...)
 }
 
 // SweepNames lists the builtin sweep names, sorted.

@@ -10,12 +10,13 @@ import (
 
 // TestSmoke is the root package's fast end-to-end check: the paper
 // testbed builds, a ping-pong completes with a plausible latency, and
-// the scenario engine agrees with the bench harness on the identical
-// workload. The paper's figures are regenerated by cmd/pushpull-bench
-// and pinned by the shape tests in internal/bench.
+// the spec's lowering agrees with the hand-built testbed config on the
+// identical workload. The paper's figures are regenerated by
+// cmd/pushpull-bench and pinned by the shape tests in internal/bench.
 func TestSmoke(t *testing.T) {
-	w := bench.Workload{Cluster: cluster.DefaultConfig(), Size: 1400, Iters: 20}
-	sum := bench.SingleTrip(w)
+	spec := scenario.DefaultSpec()
+	spec.Traffic.Messages = 20
+	sum := bench.Latency(spec)
 	if sum.N != 20 {
 		t.Fatalf("ping-pong completed %d of 20 iterations", sum.N)
 	}
@@ -25,8 +26,6 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("implausible 1400 B internode single-trip latency: %.2f µs", sum.TrimmedMean)
 	}
 
-	spec := scenario.DefaultSpec()
-	spec.Traffic.Messages = 20
 	res, err := scenario.Run(spec, scenario.KeepSamples())
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +33,15 @@ func TestSmoke(t *testing.T) {
 	if len(res.Samples) != 20 {
 		t.Fatalf("scenario run kept %d of 20 samples", len(res.Samples))
 	}
-	// Same cluster, same seed, same loop: the two harness entry points
-	// must produce identical samples.
-	raw := bench.SingleTripSamples(w)
-	for i := range raw {
-		if raw[i] != res.Samples[i] {
-			t.Fatalf("sample %d: bench %.3f µs vs scenario %.3f µs — the harnesses diverged", i, raw[i], res.Samples[i])
+	// Same cluster, same seed, same loop: the spec's lowering and the
+	// testbed's cluster.DefaultConfig must produce identical samples.
+	raw, err := scenario.RunConfig(cluster.DefaultConfig(), spec, scenario.KeepSamples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw.Samples {
+		if raw.Samples[i] != res.Samples[i] {
+			t.Fatalf("sample %d: config %.3f µs vs spec %.3f µs — the harnesses diverged", i, raw.Samples[i], res.Samples[i])
 		}
 	}
 }
