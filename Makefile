@@ -65,14 +65,18 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/pushpull-lint -dir benchmark ./... pushpull/...
 
-# fuzz gives the go-back-N delivery property and the spec and sweep
-# parsers short fuzzing budgets (no panic, no out-of-memory; an
-# accepted sweep expands).
+# fuzz gives the go-back-N delivery property and the spec, sweep,
+# study and fault-plan parsers short fuzzing budgets (no panic, no
+# out-of-memory; an accepted sweep expands, an accepted study
+# round-trips through its canonical JSON, and an accepted fault plan
+# compiles exactly when it validates).
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGoBackNDelivery -fuzztime 30s ./internal/gbn/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 15s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 15s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzParseStudy -fuzztime 15s ./internal/lab/
+	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 15s ./internal/fault/
 
 # scenarios regenerates the builtin scenario results as JSON.
 .PHONY: scenarios
@@ -99,19 +103,6 @@ examples:
 		$(GO) run ./$$d -short >/dev/null || exit 1; \
 	done; \
 	echo "examples OK"
-
-# sweep-check proves parallelism never changes results: each builtin CI
-# grid must produce the same aggregate digest on 1 worker and on a real
-# worker pool. smoke-grid covers the point-to-point patterns; coll-smoke
-# covers the collective family's traffic.algorithm axis; fault-smoke
-# covers an axis of inline fault plans (degradation must be as
-# deterministic as traffic); proto-grid covers the transport fields
-# (topology.procsPerNode, protocol.rtoMs, protocol.gbnWindow) on a lossy
-# wire. Their aggregate digests are also pinned in
-# internal/scenario/testdata/digests.json (TestBuiltinSweepDigestsPinned).
-# The parallel leg pins 8 workers, not GOMAXPROCS: on a
-# single-core CI box GOMAXPROCS resolves to 1 and would compare two
-# serial runs, never exercising the pool at all.
 
 # fault-check pins the fault-injection subsystem: the lossy/blackout
 # suites run under the race detector, and every fault-family builtin
@@ -168,6 +159,18 @@ lab-check:
 lab-baseline:
 	$(GO) run ./cmd/pushpull-lab run -workers 4 -out internal/lab/testdata/baseline-smoke.json smoke
 
+# sweep-check proves parallelism never changes results: each builtin CI
+# grid must produce the same aggregate digest on 1 worker and on a real
+# worker pool. smoke-grid covers the point-to-point patterns; coll-smoke
+# covers the collective family's traffic.algorithm axis; fault-smoke
+# covers an axis of inline fault plans (degradation must be as
+# deterministic as traffic); proto-grid covers the transport fields
+# (topology.procsPerNode, protocol.rtoMs, protocol.gbnWindow) on a lossy
+# wire. Their aggregate digests are also pinned in
+# internal/scenario/testdata/digests.json (TestBuiltinSweepDigestsPinned).
+# The parallel leg pins 8 workers, not GOMAXPROCS: on a
+# single-core CI box GOMAXPROCS resolves to 1 and would compare two
+# serial runs, never exercising the pool at all.
 .PHONY: sweep-check
 sweep-check:
 	@for sw in smoke-grid coll-smoke fault-smoke proto-grid; do \

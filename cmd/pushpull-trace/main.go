@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pushpull/internal/cluster"
@@ -23,16 +25,39 @@ import (
 	"pushpull/internal/trace"
 )
 
+// errUsage reports a command line the flag set rejected; the message is
+// already on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	size := flag.Int("size", 1400, "message size in bytes")
-	mode := flag.String("mode", "push-pull", "messaging mode: push-pull, push-zero, push-all, three-phase")
-	intra := flag.Bool("intra", false, "intranode transfer (default internode)")
-	lateMS := flag.Int("late", 0, "delay the receive operation by this many virtual ms")
-	pushedBuf := flag.Int("pushedbuf", 4096, "pushed buffer bytes")
-	columns := flag.Bool("columns", false, "render one column per node")
-	summary := flag.Bool("summary", false, "append per-kind event counts")
-	breakdown := flag.Bool("breakdown", false, "append the critical-path phase breakdown (the paper's Figure 2, measured)")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, traces one messaging event and writes the timeline
+// (and any requested summary or breakdown) to w.
+func run(args []string, w io.Writer) error {
+	flags := flag.NewFlagSet("pushpull-trace", flag.ContinueOnError)
+	size := flags.Int("size", 1400, "message size in bytes")
+	mode := flags.String("mode", "push-pull", "messaging mode: push-pull, push-zero, push-all, three-phase")
+	intra := flags.Bool("intra", false, "intranode transfer (default internode)")
+	lateMS := flags.Int("late", 0, "delay the receive operation by this many virtual ms")
+	pushedBuf := flags.Int("pushedbuf", 4096, "pushed buffer bytes")
+	columns := flags.Bool("columns", false, "render one column per node")
+	summary := flags.Bool("summary", false, "append per-kind event counts")
+	breakdown := flags.Bool("breakdown", false, "append the critical-path phase breakdown (the paper's Figure 2, measured)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	opts := pushpull.DefaultOptions()
 	opts.PushedBufBytes = *pushedBuf
@@ -46,8 +71,8 @@ func main() {
 	case "three-phase":
 		opts.Mode = pushpull.ThreePhase
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(flags.Output(), "unknown mode %q\n", *mode)
+		return errUsage
 	}
 
 	cfg := cluster.DefaultConfig()
@@ -59,6 +84,7 @@ func main() {
 		rNode = 0
 	}
 	c := cluster.New(cfg)
+	defer c.Shutdown()
 	rec := trace.NewRecorder(0)
 	c.SetRecorder(rec)
 
@@ -77,44 +103,47 @@ func main() {
 	src := sender.Alloc(*size)
 	dst := receiver.Alloc(*size)
 
-	fmt.Printf("# %s, %d bytes, %s, pushed buffer %d B, receive delayed %d ms\n",
+	fmt.Fprintf(w, "# %s, %d bytes, %s, pushed buffer %d B, receive delayed %d ms\n",
 		*mode, *size, route(*intra), *pushedBuf, *lateMS)
 
+	var sendErr, recvErr error
 	c.Nodes[0].Spawn("sender", sender.CPU, func(t *smp.Thread) {
-		if err := sender.Send(t, receiver.ID, src, msg); err != nil {
-			fmt.Fprintln(os.Stderr, "send:", err)
-			os.Exit(1)
+		if sendErr = sender.Send(t, receiver.ID, src, msg); sendErr == nil {
+			rec.Recordf(t.Now(), 0, "api", "send() returned")
 		}
-		rec.Recordf(t.Now(), 0, "api", "send() returned")
 	})
 	c.Nodes[rNode].SpawnAt(sim.Duration(*lateMS)*sim.Millisecond, "receiver", receiver.CPU, func(t *smp.Thread) {
 		rec.Recordf(t.Now(), rNode, "api", "recv() posted")
-		got, err := receiver.Recv(t, sender.ID, dst, *size)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "recv:", err)
-			os.Exit(1)
+		var got []byte
+		if got, recvErr = receiver.Recv(t, sender.ID, dst, *size); recvErr == nil {
+			rec.Recordf(t.Now(), rNode, "api", "recv() returned %d bytes", len(got))
 		}
-		rec.Recordf(t.Now(), rNode, "api", "recv() returned %d bytes", len(got))
 	})
 	end := c.Run()
+	if sendErr != nil {
+		return fmt.Errorf("send: %w", sendErr)
+	}
+	if recvErr != nil {
+		return fmt.Errorf("recv: %w", recvErr)
+	}
 
 	var err error
 	if *columns {
-		err = rec.RenderColumns(os.Stdout, 0)
+		err = rec.RenderColumns(w, 0)
 	} else {
-		err = rec.Render(os.Stdout)
+		err = rec.Render(w)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "render:", err)
-		os.Exit(1)
+		return fmt.Errorf("render: %w", err)
 	}
-	fmt.Printf("# simulation drained at %v, %d events\n", end, rec.Total())
+	fmt.Fprintf(w, "# simulation drained at %v, %d events\n", end, rec.Total())
 	if *summary {
-		fmt.Print(rec.Summary())
+		fmt.Fprint(w, rec.Summary())
 	}
 	if *breakdown {
-		fmt.Print(trace.RenderBreakdown(trace.Breakdown(rec.Events())))
+		fmt.Fprint(w, trace.RenderBreakdown(trace.Breakdown(rec.Events())))
 	}
+	return nil
 }
 
 func route(intra bool) string {

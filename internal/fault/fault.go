@@ -92,14 +92,20 @@ func ParsePlan(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// maxFlapPeriods bounds the window expansion of one flap event, so a
-// malformed plan (tiny period over a huge window) cannot compile into
-// millions of intervals.
+// maxFlapPeriods bounds the window expansion of a plan's flap events
+// together, so a malformed plan (tiny periods over huge windows, or many
+// flap events) cannot compile into millions of intervals.
 const maxFlapPeriods = 100000
+
+// maxMS bounds every plan time, about 31 years of virtual time: far
+// enough below the range of sim.Time that a window end plus a flap
+// period cannot overflow it.
+const maxMS = 1e12
 
 // Validate checks the plan against a cluster of the given node count
 // (pass 0 to skip the range check).
 func (p *Plan) Validate(nodes int) error {
+	var flapPeriods float64
 	for i, ev := range p.Events {
 		prefix := fmt.Sprintf("fault: event %d (%s)", i, ev.Kind)
 		switch ev.Kind {
@@ -116,15 +122,19 @@ func (p *Plan) Validate(nodes int) error {
 		if ev.UntilMS <= ev.AtMS {
 			return fmt.Errorf("%s: untilMS %v must exceed atMS %v", prefix, ev.UntilMS, ev.AtMS)
 		}
+		if ev.UntilMS > maxMS {
+			return fmt.Errorf("%s: untilMS %v exceeds %v", prefix, ev.UntilMS, maxMS)
+		}
 		if ev.Kind == KindLinkFlap {
-			if ev.PeriodMS <= 0 {
-				return fmt.Errorf("%s: periodMS %v must be positive", prefix, ev.PeriodMS)
+			if ev.PeriodMS <= 0 || ev.PeriodMS > maxMS {
+				return fmt.Errorf("%s: periodMS %v outside (0,%v]", prefix, ev.PeriodMS, maxMS)
 			}
 			if ev.DutyCycle < 0 || ev.DutyCycle > 1 {
 				return fmt.Errorf("%s: dutyCycle %v outside [0,1]", prefix, ev.DutyCycle)
 			}
-			if (ev.UntilMS-ev.AtMS)/ev.PeriodMS > maxFlapPeriods {
-				return fmt.Errorf("%s: expands to more than %d periods", prefix, maxFlapPeriods)
+			flapPeriods += (ev.UntilMS - ev.AtMS) / ev.PeriodMS
+			if flapPeriods > maxFlapPeriods {
+				return fmt.Errorf("%s: the plan's flap events expand to more than %d periods", prefix, maxFlapPeriods)
 			}
 		}
 		if ev.Kind == KindLossBurst {

@@ -24,6 +24,8 @@ func TestPlanValidate(t *testing.T) {
 		{"flap no period", Event{Kind: KindLinkFlap, AtMS: 0, UntilMS: 1, DutyCycle: 0.5}, "periodMS"},
 		{"flap bad duty", Event{Kind: KindLinkFlap, AtMS: 0, UntilMS: 1, PeriodMS: 0.1, DutyCycle: 1.5}, "dutyCycle"},
 		{"flap explodes", Event{Kind: KindLinkFlap, AtMS: 0, UntilMS: 1e9, PeriodMS: 0.001, DutyCycle: 0.5}, "periods"},
+		{"beyond time range", Event{Kind: KindLinkDown, AtMS: 0, UntilMS: 2e12}, "exceeds"},
+		{"flap huge period", Event{Kind: KindLinkFlap, AtMS: 0, UntilMS: 1, PeriodMS: 1e300, DutyCycle: 0.5}, "periodMS"},
 		{"burst bad prob", Event{Kind: KindLossBurst, AtMS: 0, UntilMS: 1, PEnterBurst: 2, BurstLoss: 0.5}, "outside [0,1]"},
 		{"burst zero loss", Event{Kind: KindLossBurst, AtMS: 0, UntilMS: 1, PEnterBurst: 0.1, PExitBurst: 0.1}, "burstLoss"},
 	}
@@ -41,6 +43,20 @@ func TestPlanValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// The flap expansion bound holds per plan, not per event: many flap
+// events that each fit must not add up to millions of windows.
+func TestPlanFlapBudgetIsPlanWide(t *testing.T) {
+	flap := Event{Kind: KindLinkFlap, AtMS: 0, UntilMS: 60000, PeriodMS: 1, DutyCycle: 0.5}
+	one := Plan{Events: []Event{flap}}
+	if err := one.Validate(0); err != nil {
+		t.Fatalf("one flap event: %v", err)
+	}
+	two := Plan{Events: []Event{flap, flap}}
+	if err := two.Validate(0); err == nil || !strings.Contains(err.Error(), "event 1") {
+		t.Fatalf("two flap events: Validate() = %v, want the second event refused", err)
 	}
 }
 

@@ -319,12 +319,12 @@ func (s *Sender) onTimeout() {
 		}
 		return
 	}
-	s.rec.Recordf(s.e.Now(), s.recNode, trace.KindRTO, "timeout #%d, window [%d,%d) retransmits", s.timeouts, s.base, s.base+uint32(len(s.inflight)))
+	s.rec.Add(s.e.Now(), s.recNode, trace.KindRTO, "timeout #%d, window [%d,%d) retransmits", int(s.timeouts), int(s.base), int(s.base+uint32(len(s.inflight))))
 	for i := range s.inflight {
 		ent := &s.inflight[i]
 		s.retransmissions++
 		ent.rexmit = true
-		s.rec.Recordf(s.e.Now(), s.recNode, trace.KindRetransmit, "seq %d (%dB)", ent.pkt.Seq, ent.pkt.Bytes)
+		s.rec.Add(s.e.Now(), s.recNode, trace.KindRetransmit, "seq %d (%dB)", int(ent.pkt.Seq), ent.pkt.Bytes)
 		s.transmit(ent.pkt)
 	}
 	next := s.rto()

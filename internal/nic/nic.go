@@ -255,7 +255,7 @@ func (nc *NIC) launchWire() {
 		nc.wirePool = nc.wirePool[:n-1]
 	} else {
 		w = &wireTx{nc: nc}
-		w.tk = nc.node.Engine.NewTasklet(fmt.Sprintf("nic-wire/n%d", nc.node.ID), w.step)
+		w.tk = nc.node.Engine.NewTasklet("nic-wire", w.step)
 	}
 	w.frame = nc.txReq.Frame
 	w.cur = ether.TxCursor{}
@@ -279,7 +279,7 @@ func (w *wireTx) step(tk *sim.Tasklet) {
 	}
 	nc.txFrames++
 	nc.txBytes += uint64(w.frame.PayloadBytes)
-	nc.Rec.Recordf(tk.Now(), nc.node.ID, trace.KindNICTx, "frame %d->%d %dB on wire", w.frame.Src, w.frame.Dst, w.frame.PayloadBytes)
+	nc.Rec.Add(tk.Now(), nc.node.ID, trace.KindNICTx, "frame %d->%d %dB on wire", w.frame.Src, w.frame.Dst, w.frame.PayloadBytes)
 	w.frame = ether.Frame{}
 	nc.wirePool = append(nc.wirePool, w)
 }
@@ -289,12 +289,12 @@ func (w *wireTx) step(tk *sim.Tasklet) {
 func (nc *NIC) DeliverFrame(f ether.Frame) {
 	if nc.inj != nil && nc.inj.RxDrop(nc.node.Engine.Now()) {
 		nc.faultDropped++
-		nc.Rec.Recordf(nc.node.Engine.Now(), nc.node.ID, trace.KindNICDrop, "frame %d->%d %dB dropped: host paused", f.Src, f.Dst, f.PayloadBytes)
+		nc.Rec.Add(nc.node.Engine.Now(), nc.node.ID, trace.KindNICDrop, "frame %d->%d %dB dropped: host paused", f.Src, f.Dst, f.PayloadBytes)
 		return
 	}
 	if nc.rxInFlight >= nc.cfg.RxRingFrames {
 		nc.rxDropped++
-		nc.Rec.Recordf(nc.node.Engine.Now(), nc.node.ID, trace.KindNICDrop, "frame %d->%d %dB lost to rx-ring overflow", f.Src, f.Dst, f.PayloadBytes)
+		nc.Rec.Add(nc.node.Engine.Now(), nc.node.ID, trace.KindNICDrop, "frame %d->%d %dB lost to rx-ring overflow", f.Src, f.Dst, f.PayloadBytes)
 		return
 	}
 	nc.rxInFlight++
@@ -306,7 +306,7 @@ func (nc *NIC) DeliverFrame(f ether.Frame) {
 		nc.rxPool = nc.rxPool[:n-1]
 	} else {
 		j = &rxJob{nc: nc}
-		j.tk = nc.node.Engine.NewTasklet(fmt.Sprintf("nic-rx/n%d", nc.node.ID), j.step)
+		j.tk = nc.node.Engine.NewTasklet("nic-rx", j.step)
 	}
 	j.frame = f
 	j.tk.Start()
@@ -334,7 +334,7 @@ func (j *rxJob) step(tk *sim.Tasklet) {
 	case 2:
 		nc.node.Bus.Release()
 		nc.rxFrames++
-		nc.Rec.Recordf(tk.Now(), nc.node.ID, trace.KindNICRx, "frame %d->%d %dB in host ring", j.frame.Src, j.frame.Dst, j.frame.PayloadBytes)
+		nc.Rec.Add(tk.Now(), nc.node.ID, trace.KindNICRx, "frame %d->%d %dB in host ring", j.frame.Src, j.frame.Dst, j.frame.PayloadBytes)
 		f := j.frame
 		j.frame, j.pc = ether.Frame{}, 0
 		nc.rxPool = append(nc.rxPool, j)

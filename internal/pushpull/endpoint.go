@@ -452,7 +452,7 @@ func (ep *Endpoint) complete(t *smp.Thread, m *inboundMsg) {
 		return
 	}
 	m.complete = true
-	ep.stack.event(trace.KindComplete, "%v#%d complete: %d/%d bytes received", m.ch, m.msgID, m.received, m.total)
+	ep.stack.chanEvent(trace.KindComplete, m.ch, m.msgID, "complete: %d/%d bytes received", m.received, m.total)
 	ep.removeInbound(m)
 	if m.op != nil && t != nil {
 		t.Exec(t.SignalCost(ep.stack.Node.CPUs[ep.CPU]))

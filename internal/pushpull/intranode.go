@@ -22,7 +22,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 	t.Exec(cfg.CallOverhead)
 	t.Exec(cfg.SyscallEntry)
 	t.Exec(cfg.QueueOp) // register the send operation
-	s.event(trace.KindSend, "%v#%d send %dB intranode, push %dB", ch, msgID, total, btp)
+	s.chanEvent(trace.KindSend, ch, msgID, "send %dB intranode, push %dB", total, btp)
 
 	op := &sendOp{ch: ch, msgID: msgID, tag: so.Tag, addr: addr, data: data, pushed: btp}
 	op.srcReadyAt = t.Now() // intranode: pull thread translates on its own
@@ -59,7 +59,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 			t.Copy(btp, false)
 			copy(m.buf[:btp], data[:btp])
 			m.received += btp
-			s.event(trace.KindDirect, "%v#%d pushed %dB direct to destination", ch, msgID, btp)
+			s.chanEvent(trace.KindDirect, ch, msgID, "pushed %dB direct to destination", btp)
 		}
 		if m.pullRemainder() > 0 {
 			// The send party starts the pull phase itself: the receive
@@ -80,7 +80,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 			t.Copy(btp, false)
 			frag := fragMsg{ch: ch, msgID: msgID, offset: 0, data: data[:btp], total: total, pushTotal: btp}
 			m.buffered = append(m.buffered, frag)
-			s.event(trace.KindPark, "%v#%d pushed %dB to pushed buffer (%dB held)", ch, msgID, btp, peer.ring.bytesUsed())
+			s.chanEvent(trace.KindPark, ch, msgID, "pushed %dB to pushed buffer (%dB held)", btp, peer.ring.bytesUsed())
 		}
 		if btp == total {
 			s.finishSend(ep, op)
@@ -109,8 +109,8 @@ func (s *Stack) dispatchIntraPull(m *inboundMsg) {
 	if s.Opts.PullLocal {
 		cpu = s.Node.CPUs[s.eps[m.ch.To.Proc].CPU]
 	}
-	s.event(trace.KindPullDispatch, "%v#%d pull dispatched to cpu%d", m.ch, m.msgID, cpu.ID)
-	s.Node.SpawnKernel(fmt.Sprintf("pull/%v", m.ch), cpu, func(t *smp.Thread) {
+	s.chanEvent(trace.KindPullDispatch, m.ch, m.msgID, "pull dispatched to cpu%d", cpu.ID)
+	s.Node.SpawnKernel("pull", cpu, func(t *smp.Thread) {
 		s.intraPull(t, m)
 	})
 }

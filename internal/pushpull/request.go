@@ -1,8 +1,6 @@
 package pushpull
 
 import (
-	"fmt"
-
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
 	"pushpull/internal/vm"
@@ -44,7 +42,7 @@ func (ep *Endpoint) Isend(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data []
 func (ep *Endpoint) IsendOpt(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) *Request {
 	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
 	t.Exec(ep.stack.Node.Cfg.CallOverhead) // posting cost on the caller
-	ep.stack.Node.Spawn(fmt.Sprintf("isend/%v", ep.ID), ep.CPU, func(ht *smp.Thread) {
+	ep.stack.Node.Spawn("isend", ep.CPU, func(ht *smp.Thread) {
 		err := ep.SendOpt(ht, to, addr, data, o)
 		req.finish(nil, Status{Source: ep.ID, Tag: o.Tag, Valid: true}, err)
 	})
@@ -67,7 +65,7 @@ func (ep *Endpoint) Irecv(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bufLe
 func (ep *Endpoint) IrecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
 	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
 	t.Exec(ep.stack.Node.Cfg.CallOverhead)
-	ep.stack.Node.Spawn(fmt.Sprintf("irecv/%v", ep.ID), ep.CPU, func(ht *smp.Thread) {
+	ep.stack.Node.Spawn("irecv", ep.CPU, func(ht *smp.Thread) {
 		b, st, err := ep.RecvOpt(ht, from, addr, bufLen, o)
 		req.finish(b, st, err)
 	})
@@ -82,7 +80,7 @@ func (ep *Endpoint) IrecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bu
 // caller.
 func (ep *Endpoint) IsendAsyncOpt(to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) *Request {
 	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
-	ep.stack.Node.Spawn(fmt.Sprintf("isend/%v", ep.ID), ep.CPU, func(ht *smp.Thread) {
+	ep.stack.Node.Spawn("isend", ep.CPU, func(ht *smp.Thread) {
 		ht.Exec(ep.stack.Node.Cfg.CallOverhead)
 		err := ep.SendOpt(ht, to, addr, data, o)
 		req.finish(nil, Status{Source: ep.ID, Tag: o.Tag, Valid: true}, err)
@@ -93,7 +91,7 @@ func (ep *Endpoint) IsendAsyncOpt(to ProcessID, addr vm.VirtAddr, data []byte, o
 // IrecvAsyncOpt is IrecvOpt with no posting thread (see IsendAsyncOpt).
 func (ep *Endpoint) IrecvAsyncOpt(from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
 	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
-	ep.stack.Node.Spawn(fmt.Sprintf("irecv/%v", ep.ID), ep.CPU, func(ht *smp.Thread) {
+	ep.stack.Node.Spawn("irecv", ep.CPU, func(ht *smp.Thread) {
 		ht.Exec(ep.stack.Node.Cfg.CallOverhead)
 		b, st, err := ep.RecvOpt(ht, from, addr, bufLen, o)
 		req.finish(b, st, err)

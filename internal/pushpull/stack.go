@@ -118,9 +118,25 @@ func (s *Stack) SetRecorder(rec *trace.Recorder) {
 	}
 }
 
-// event publishes one structured protocol event.
-func (s *Stack) event(k trace.Kind, format string, args ...any) {
-	s.Rec.Recordf(s.Node.Engine.Now(), s.Node.ID, k, format, args...)
+// event publishes one structured protocol event, formatted only if read.
+func (s *Stack) event(k trace.Kind, format string, args ...int) {
+	s.Rec.Add(s.Node.Engine.Now(), s.Node.ID, k, format, args...)
+}
+
+// chanFormat heads every channel-bound event's text, rendering the
+// channel as ChannelID.String does, then the message id.
+const chanFormat = "n%d.p%d->n%d.p%d#%d "
+
+// chanEvent publishes one protocol event of message msgID on channel ch.
+// The channel travels as four integers, so recording formats nothing.
+func (s *Stack) chanEvent(k trace.Kind, ch ChannelID, msgID uint64, format string, args ...int) {
+	if s.Rec == nil {
+		return
+	}
+	var a [trace.MaxArgs]int
+	a[0], a[1], a[2], a[3], a[4] = ch.From.Node, ch.From.Proc, ch.To.Node, ch.To.Proc, int(msgID)
+	n := 5 + copy(a[5:], args)
+	s.Rec.AddPrefixed(s.Node.Engine.Now(), s.Node.ID, k, chanFormat, format, a[:n]...)
 }
 
 // NewEndpoint registers a communicating process on this node, bound to
@@ -242,9 +258,8 @@ func (r *chanRail) launchTx(req nic.TxRequest) {
 		j = r.txPool[n-1]
 		r.txPool = r.txPool[:n-1]
 	} else {
-		s := r.sess.stack
 		j = &txJob{rail: r}
-		j.tk = s.Node.Engine.NewTasklet(fmt.Sprintf("tx/n%d->n%d.r%d", s.Node.ID, r.sess.peer, r.idx), j.step)
+		j.tk = r.sess.stack.Node.Engine.NewTasklet("tx", j.step)
 	}
 	j.req = req
 	j.tk.Start()

@@ -35,7 +35,7 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 	t.Exec(cfg.CallOverhead)
 	t.Exec(cfg.SyscallEntry)
 	t.Exec(cfg.QueueOp) // register the send operation
-	s.event(trace.KindSend, "%v#%d send %dB three-phase", ch, msgID, total)
+	s.chanEvent(trace.KindSend, ch, msgID, "send %dB three-phase", total)
 
 	op := &sendOp{ch: ch, msgID: msgID, tag: so.Tag, addr: addr, data: data}
 	ep.sendOps[sendKey{ch, msgID}] = op
@@ -71,14 +71,14 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 		t.Exec(cfg.WakeLatency)
 	}
 	if op.err != nil {
-		s.event(trace.KindError, "%v#%d three-phase send aborted: %v", ch, msgID, op.err)
+		s.Rec.Recordf(s.Node.Engine.Now(), s.Node.ID, trace.KindError, "%v#%d three-phase send aborted: %v", ch, msgID, op.err)
 		s.finishSend(ep, op)
 		t.Exec(cfg.SyscallExit)
 		return
 	}
 
 	// Phase 3: transmit the whole message from the send process's thread.
-	s.event(trace.KindPullGrant, "%v#%d CTS received, transmitting %dB", ch, msgID, total)
+	s.chanEvent(trace.KindPullGrant, ch, msgID, "CTS received, transmitting %dB", total)
 	for off := 0; off < total; {
 		n := total - off
 		if n > MaxFragData {

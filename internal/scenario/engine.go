@@ -60,7 +60,9 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 	spec.Seed = cfg.Seed
 
 	c := cluster.New(cfg)
-	rec := trace.NewRecorder(4096)
+	// The result keeps only per-kind event counts, so the recorder keeps
+	// nothing else.
+	rec := trace.NewCounter()
 	c.SetRecorder(rec)
 	if spec.Protocol.Adaptive {
 		ac := spec.adaptConfig(cfg.Opts)

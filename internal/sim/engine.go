@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Priority orders events that are scheduled for the same virtual time.
 // Lower values run first. Most model code uses PriorityNormal; interrupt
@@ -86,19 +89,20 @@ type Engine struct {
 	procs []*Process // registry of live processes, for Live and Shutdown
 	// dying flips while Shutdown unwinds parked processes: park resumes
 	// into a poison panic instead of returning to the model.
-	dying     bool
-	fault     any // panic captured from a process, re-raised in Run
-	executed  uint64
-	nameCount map[string]int
+	dying    bool
+	fault    any // panic captured from a process, re-raised in Run
+	executed uint64
+	// spawned numbers processes and tasklets in creation order; the
+	// ordinal makes each one's diagnostic name unique.
+	spawned uint64
 }
 
 // NewEngine returns an engine at virtual time zero with a deterministic
 // random source derived from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		yield:     make(chan struct{}, 1),
-		rng:       NewRand(seed),
-		nameCount: make(map[string]int),
+		yield: make(chan struct{}, 1),
+		rng:   NewRand(seed),
 	}
 }
 
@@ -409,12 +413,13 @@ func (e *Engine) siftDown(i int) {
 	ev.idx = i
 }
 
-// uniqueName disambiguates duplicate process names for tracing.
-func (e *Engine) uniqueName(name string) string {
-	n := e.nameCount[name]
-	e.nameCount[name] = n + 1
-	if n == 0 {
-		return name
-	}
-	return fmt.Sprintf("%s#%d", name, n)
+// nextOrdinal numbers a new process or tasklet.
+func (e *Engine) nextOrdinal() uint64 {
+	e.spawned++
+	return e.spawned - 1
+}
+
+// diagName formats a process's or tasklet's name, base#ordinal.
+func diagName(base string, ord uint64) string {
+	return base + "#" + strconv.FormatUint(ord, 10)
 }

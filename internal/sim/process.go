@@ -10,8 +10,10 @@ import "fmt"
 //
 // Process methods must only be called from within that process's own body.
 type Process struct {
-	e      *Engine
+	e *Engine
+	// name and ord make up the diagnostic name (see Name).
 	name   string
+	ord    uint64
 	resume chan struct{}
 	// transferFn is the bound transfer method, created once: scheduling
 	// p.transfer directly would allocate a fresh method-value closure on
@@ -49,7 +51,7 @@ func (e *Engine) Go(name string, body func(p *Process)) *Process {
 
 // GoAt is like Go but delays the start of the process by d.
 func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
-	p := &Process{e: e, name: e.uniqueName(name), resume: make(chan struct{}, 1)}
+	p := &Process{e: e, name: name, ord: e.nextOrdinal(), resume: make(chan struct{}, 1)}
 	p.transferFn = p.transfer
 	p.wakeFn = func() {
 		p.wakePending = false
@@ -120,11 +122,11 @@ func (p *Process) park() {
 func (p *Process) wake() {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %s at %v (last parked on %s)",
-			p.name, p.e.now, p.parkedDesc()))
+			p.Name(), p.e.now, p.parkedDesc()))
 	}
 	if p.wakePending {
 		panic(fmt.Sprintf("sim: double wake of process %s at %v (parked on %s)",
-			p.name, p.e.now, p.parkedDesc()))
+			p.Name(), p.e.now, p.parkedDesc()))
 	}
 	p.wakePending = true
 	p.waiting = false
@@ -150,8 +152,10 @@ func (p *Process) parkedDesc() string {
 	}
 }
 
-// Name reports the process's (unique) name.
-func (p *Process) Name() string { return p.name }
+// Name reports the process's name, base#ordinal: the name it was started
+// with and its creation ordinal, unique within the engine. Names are
+// diagnostics: formatted on demand, and outside every digest.
+func (p *Process) Name() string { return diagName(p.name, p.ord) }
 
 // Engine returns the engine this process runs on.
 func (p *Process) Engine() *Engine { return p.e }
@@ -166,7 +170,7 @@ func (p *Process) Done() bool { return p.done }
 // duration panics; sleeping zero yields to other events at the same time.
 func (p *Process) Sleep(d Duration) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: %s sleeping negative duration %d", p.name, d))
+		panic(fmt.Sprintf("sim: %s sleeping negative duration %d", p.Name(), d))
 	}
 	p.e.At(p.e.now.Add(d), PriorityNormal, p.transferFn)
 	p.park()

@@ -47,8 +47,10 @@ type Waiter interface {
 // always runs in engine context, interleaved atomically with events and
 // process segments in the engine's total (time, priority, seq) order.
 type Tasklet struct {
-	e    *Engine
+	e *Engine
+	// name and ord make up the diagnostic name (see Name).
 	name string
+	ord  uint64
 	step func(*Tasklet)
 	// runFn is the bound run method, created once so that scheduling a
 	// resume never allocates.
@@ -63,7 +65,7 @@ type Tasklet struct {
 // NewTasklet creates a tasklet that runs step each time it is woken. The
 // tasklet is inert until Start (or Wake) is called.
 func (e *Engine) NewTasklet(name string, step func(*Tasklet)) *Tasklet {
-	tk := &Tasklet{e: e, name: e.uniqueName(name), step: step}
+	tk := &Tasklet{e: e, name: name, ord: e.nextOrdinal(), step: step}
 	tk.runFn = tk.run
 	return tk
 }
@@ -75,8 +77,10 @@ func (tk *Tasklet) run() {
 	tk.step(tk)
 }
 
-// Name reports the tasklet's (unique) name.
-func (tk *Tasklet) Name() string { return tk.name }
+// Name reports the tasklet's name, base#ordinal: the name it was created
+// with and its creation ordinal, unique within the engine. Names are
+// diagnostics: formatted on demand, and outside every digest.
+func (tk *Tasklet) Name() string { return diagName(tk.name, tk.ord) }
 
 // Engine returns the engine this tasklet runs on.
 func (tk *Tasklet) Engine() *Engine { return tk.e }
@@ -111,10 +115,10 @@ func (tk *Tasklet) parkOn(c *Cond) { tk.waiting = true; tk.parked = c }
 // instead of returning after a failed Poll registration) is a model bug.
 func (tk *Tasklet) Sleep(d Duration) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: tasklet %s sleeping negative duration %d", tk.name, d))
+		panic(fmt.Sprintf("sim: tasklet %s sleeping negative duration %d", tk.Name(), d))
 	}
 	if tk.scheduled {
-		panic("sim: tasklet " + tk.name + " sleeping while already scheduled")
+		panic("sim: tasklet " + tk.Name() + " sleeping while already scheduled")
 	}
 	tk.scheduled = true
 	tk.e.At(tk.e.now.Add(d), PriorityNormal, tk.runFn)

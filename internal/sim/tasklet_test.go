@@ -86,6 +86,15 @@ func TestTaskletWakeCoalesces(t *testing.T) {
 	}
 }
 
+func TestTaskletNamesUnique(t *testing.T) {
+	e := NewEngine(1)
+	a := e.NewTasklet("w", func(tk *Tasklet) {})
+	b := e.NewTasklet("w", func(tk *Tasklet) {})
+	if a.Name() == b.Name() {
+		t.Errorf("duplicate tasklet names: %q, %q", a.Name(), b.Name())
+	}
+}
+
 // TestTaskletSleepWhileScheduledPanics: double-arming is a model bug.
 func TestTaskletSleepWhileScheduledPanics(t *testing.T) {
 	e := NewEngine(1)

@@ -74,8 +74,8 @@ func (ic *InterruptController) Raised() uint64 { return ic.raised }
 // Raise is tier-neutral: it only schedules, never blocks, so it may be
 // called from any engine-context code — an event callback, a tasklet step
 // (the NIC receive path raises from one), or a process body. The handler
-// itself always runs on a fresh irq/ process, because handler bodies
-// block (bus copies, Exec) and so need the goroutine tier.
+// itself always runs on a fresh process named name, because handler
+// bodies block (bus copies, Exec) and so need the goroutine tier.
 func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
 	ic.raised++
 	n := ic.node
@@ -100,7 +100,7 @@ func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
 // plus a timed dispatch cost charged to (and stolen from) the CPU.
 func (ic *InterruptController) deliver(name string, cpu *Processor, wait, cost sim.Duration, handler func(t *Thread)) {
 	n := ic.node
-	n.Engine.GoAt(wait, "irq/"+name, func(p *sim.Process) {
+	n.Engine.GoAt(wait, name, func(p *sim.Process) {
 		t := &Thread{P: p, Node: n, CPU: cpu, handler: true}
 		t.Exec(cost)
 		handler(t)

@@ -2,10 +2,12 @@
 //
 // The messaging stack, the NIC model and the reliability layer publish
 // typed events (push transmitted, fragment parked, pull granted, frame
-// dropped, ...) into a Recorder. The recorder keeps a bounded ring of the
-// most recent events plus complete per-kind counters, and renders either a
-// flat timeline or a per-node columnar view. cmd/pushpull-trace uses it to
-// show a messaging event's anatomy; tests use the counters to assert which
+// dropped, ...) into a Recorder as constant formats plus integers, which
+// are formatted only when read. The recorder keeps a bounded ring of the
+// most recent events plus complete per-kind counters (a NewCounter
+// recorder keeps only the counters), and renders either a flat timeline
+// or a per-node columnar view. cmd/pushpull-trace uses it to show a
+// messaging event's anatomy; tests use the counters to assert which
 // protocol paths a scenario exercised.
 package trace
 
@@ -77,7 +79,59 @@ const (
 	KindRetransmit Kind = "retransmit"
 )
 
-// Event is one recorded protocol event.
+// declared lists the kinds above in kindIndex order. A recorder counts
+// them in an array and any other kind in a map: every protocol event is
+// counted, and kindIndex plus an array increment costs about 5 ns where
+// a map assignment costs about 16 ns (x86-64, Go 1.24).
+var declared = [...]Kind{KindSend, KindPush, KindDirect, KindPark, KindDiscard,
+	KindRefuse, KindPullReq, KindPullGrant, KindPullDispatch, KindComplete,
+	KindError, KindNICTx, KindNICRx, KindNICDrop, KindRTO, KindRetransmit}
+
+// kindIndex reports k's index in declared, or -1 for any other kind.
+func kindIndex(k Kind) int {
+	switch k {
+	case KindSend:
+		return 0
+	case KindPush:
+		return 1
+	case KindDirect:
+		return 2
+	case KindPark:
+		return 3
+	case KindDiscard:
+		return 4
+	case KindRefuse:
+		return 5
+	case KindPullReq:
+		return 6
+	case KindPullGrant:
+		return 7
+	case KindPullDispatch:
+		return 8
+	case KindComplete:
+		return 9
+	case KindError:
+		return 10
+	case KindNICTx:
+		return 11
+	case KindNICRx:
+		return 12
+	case KindNICDrop:
+		return 13
+	case KindRTO:
+		return 14
+	case KindRetransmit:
+		return 15
+	}
+	return -1
+}
+
+// MaxArgs is how many integer arguments one typed event carries.
+const MaxArgs = 10
+
+// Event is one recorded protocol event. A typed event (Add, AddPrefixed)
+// keeps its constant format and integer arguments and is formatted only
+// when something reads it; a free-text event (Record, Recordf) keeps Text.
 type Event struct {
 	// T is the virtual time the event was recorded.
 	T sim.Time
@@ -85,47 +139,122 @@ type Event struct {
 	Node int
 	// Kind classifies the event.
 	Kind Kind
-	// Text is the human-readable description.
+	// Text is the description of a free-text event; typed events leave
+	// it empty (use Message).
 	Text string
 	// Seq is the recorder-assigned sequence number (total order of
 	// recording, stable across ring eviction).
 	Seq uint64
+
+	prefix, format string
+	args           [MaxArgs]int
+	nargs          int
+}
+
+// Message returns the human-readable description: Text, or the typed
+// event's format applied to its arguments.
+func (ev Event) Message() string {
+	if ev.format == "" {
+		return ev.Text
+	}
+	args := make([]any, ev.nargs)
+	for i := range args {
+		args[i] = ev.args[i]
+	}
+	return fmt.Sprintf(ev.prefix+ev.format, args...)
 }
 
 func (ev Event) String() string {
-	return fmt.Sprintf("%v n%d %-13s %s", ev.T, ev.Node, ev.Kind, ev.Text)
+	return fmt.Sprintf("%v n%d %-13s %s", ev.T, ev.Node, ev.Kind, ev.Message())
 }
 
 // Recorder collects events. It keeps at most max events (the oldest are
 // evicted first) but counts every event ever recorded per kind, so
 // counters remain exact even after eviction. The zero value is not usable;
-// create recorders with NewRecorder.
+// create recorders with NewRecorder or NewCounter.
 //
 // A nil *Recorder is safe to record into (the calls are no-ops), so model
 // code can publish events unconditionally.
 type Recorder struct {
-	max     int
-	evs     []Event
-	start   int // ring head
-	seq     uint64
-	evicted uint64
-	counts  map[Kind]uint64
+	max       int
+	countOnly bool
+	evs       []Event
+	start     int // ring head
+	seq       uint64
+	evicted   uint64
+	// counts holds the declared kinds' counts by kindIndex, others the
+	// rest.
+	counts [len(declared)]uint64
+	others map[Kind]uint64
 }
 
 // NewRecorder returns an empty recorder keeping at most max events.
 // max <= 0 means unbounded.
 func NewRecorder(max int) *Recorder {
-	return &Recorder{max: max, counts: make(map[Kind]uint64)}
+	return &Recorder{max: max, others: make(map[Kind]uint64)}
 }
 
-// Record appends one event. Recording into a nil recorder is a no-op.
+// NewCounter returns a recorder that keeps no events, only the per-kind
+// counts and the total, for runs that read nothing else.
+func NewCounter() *Recorder {
+	return &Recorder{countOnly: true, others: make(map[Kind]uint64)}
+}
+
+// Record appends one free-text event. Recording into a nil recorder is a
+// no-op.
 func (r *Recorder) Record(t sim.Time, node int, kind Kind, text string) {
-	if r == nil {
+	if r.counted(kind) {
+		r.store(Event{T: t, Node: node, Kind: kind, Text: text})
+	}
+}
+
+// Recordf is Record with fmt.Sprintf formatting, skipped when the
+// recorder only counts. Hot paths use Add, which formats nothing.
+func (r *Recorder) Recordf(t sim.Time, node int, kind Kind, format string, args ...any) {
+	if r.counted(kind) {
+		r.store(Event{T: t, Node: node, Kind: kind, Text: fmt.Sprintf(format, args...)})
+	}
+}
+
+// Add records a typed event whose text is fmt.Sprintf(format, args...),
+// formatted only when the event is read. format should be a constant;
+// at most MaxArgs arguments fit. Recording allocates nothing.
+func (r *Recorder) Add(t sim.Time, node int, kind Kind, format string, args ...int) {
+	r.AddPrefixed(t, node, kind, "", format, args...)
+}
+
+// AddPrefixed is Add with a constant prefix format (such as a channel
+// name's) whose verbs take the first arguments.
+func (r *Recorder) AddPrefixed(t sim.Time, node int, kind Kind, prefix, format string, args ...int) {
+	if len(args) > MaxArgs {
+		panic("trace: too many event arguments")
+	}
+	if !r.counted(kind) {
 		return
 	}
-	ev := Event{T: t, Node: node, Kind: kind, Text: text, Seq: r.seq}
+	ev := Event{T: t, Node: node, Kind: kind, prefix: prefix, format: format, nargs: len(args)}
+	copy(ev.args[:], args)
+	r.store(ev)
+}
+
+// counted tallies one event of kind and reports whether the recorder
+// also keeps it: false for a nil or counts-only recorder.
+func (r *Recorder) counted(kind Kind) bool {
+	if r == nil {
+		return false
+	}
 	r.seq++
-	r.counts[kind]++
+	if i := kindIndex(kind); i >= 0 {
+		r.counts[i]++
+	} else {
+		r.others[kind]++
+	}
+	return !r.countOnly
+}
+
+// store keeps the event just counted in the ring.
+func (r *Recorder) store(ev Event) {
+	ev.Seq = r.seq - 1
 	if r.max > 0 && len(r.evs) == r.max {
 		// Evict the oldest by rotating the ring start.
 		r.evs[r.start] = ev
@@ -134,14 +263,6 @@ func (r *Recorder) Record(t sim.Time, node int, kind Kind, text string) {
 		return
 	}
 	r.evs = append(r.evs, ev)
-}
-
-// Recordf is Record with fmt.Sprintf formatting.
-func (r *Recorder) Recordf(t sim.Time, node int, kind Kind, format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.Record(t, node, kind, fmt.Sprintf(format, args...))
 }
 
 // Len reports the number of retained events.
@@ -173,7 +294,10 @@ func (r *Recorder) Count(kind Kind) uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.counts[kind]
+	if i := kindIndex(kind); i >= 0 {
+		return r.counts[i]
+	}
+	return r.others[kind]
 }
 
 // Events returns the retained events oldest-first.
@@ -214,8 +338,13 @@ func (r *Recorder) Kinds() []Kind {
 	if r == nil {
 		return nil
 	}
-	kinds := make([]Kind, 0, len(r.counts))
-	for k := range r.counts {
+	kinds := make([]Kind, 0, len(r.others))
+	for i, n := range r.counts {
+		if n > 0 {
+			kinds = append(kinds, declared[i])
+		}
+	}
+	for k := range r.others {
 		kinds = append(kinds, k)
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
@@ -226,7 +355,7 @@ func (r *Recorder) Kinds() []Kind {
 func (r *Recorder) Summary() string {
 	var b strings.Builder
 	for _, k := range r.Kinds() {
-		fmt.Fprintf(&b, "%-13s %d\n", k, r.counts[k])
+		fmt.Fprintf(&b, "%-13s %d\n", k, r.Count(k))
 	}
 	return b.String()
 }
@@ -254,7 +383,7 @@ func (r *Recorder) RenderColumns(w io.Writer, width int) error {
 		col[n] = i
 	}
 	for _, ev := range r.Events() {
-		text := fmt.Sprintf("%v %s %s", ev.T, ev.Kind, ev.Text)
+		text := fmt.Sprintf("%v %s %s", ev.T, ev.Kind, ev.Message())
 		var line strings.Builder
 		if ev.Node < 0 {
 			line.WriteString(text)

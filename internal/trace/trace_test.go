@@ -177,3 +177,89 @@ func TestRecorderCountInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTypedEventRendersOnRead(t *testing.T) {
+	r := NewRecorder(0)
+	r.AddPrefixed(5, 1, KindPush, "n%d.p%d->n%d.p%d#%d ", "push frag [%d:%d) preloaded=true", 0, 0, 1, 0, 7, 80, 760)
+	r.Add(6, 1, KindNICTx, "frame %d->%d %dB on wire", 0, 1, 96)
+	evs := r.Events()
+	if got, want := evs[0].Message(), "n0.p0->n1.p0#7 push frag [80:760) preloaded=true"; got != want {
+		t.Errorf("prefixed Message = %q, want %q", got, want)
+	}
+	if got, want := evs[1].String(), "6ns n1 nic-tx        frame 0->1 96B on wire"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	if evs[0].Text != "" {
+		t.Errorf("typed event carries Text %q", evs[0].Text)
+	}
+}
+
+func TestTooManyArgumentsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Add with MaxArgs+1 arguments did not panic")
+		}
+	}()
+	NewCounter().Add(0, 0, KindPush, "", make([]int, MaxArgs+1)...)
+}
+
+// kindIndex must agree with declared, or counts would land on the wrong
+// kind; any other kind is counted apart.
+func TestKindIndexMatchesDeclared(t *testing.T) {
+	for i, k := range declared {
+		if got := kindIndex(k); got != i {
+			t.Errorf("kindIndex(%s) = %d, want %d", k, got, i)
+		}
+	}
+	if got := kindIndex("api"); got != -1 {
+		t.Errorf("kindIndex(api) = %d, want -1", got)
+	}
+}
+
+// A counts-only recorder keeps no events but counts every one, free text
+// included, exactly as a full recorder would.
+func TestCounterCountsEverything(t *testing.T) {
+	full, counter := NewRecorder(2), NewCounter()
+	for _, r := range []*Recorder{full, counter} {
+		r.Add(1, 0, KindPush, "frag %d", 1)
+		r.AddPrefixed(2, 0, KindPush, "#%d ", "frag %d", 1, 2)
+		r.Record(3, 1, KindComplete, "done")
+		r.Recordf(4, 1, KindError, "lost %d", 3)
+		r.Record(5, 0, "api", "undeclared kind")
+	}
+	if counter.Len() != 0 {
+		t.Errorf("counter kept %d events", counter.Len())
+	}
+	if counter.Total() != full.Total() || counter.Total() != 5 {
+		t.Errorf("Total: counter %d, full %d, want 5", counter.Total(), full.Total())
+	}
+	for _, k := range full.Kinds() {
+		if counter.Count(k) != full.Count(k) {
+			t.Errorf("Count(%s): counter %d, full %d", k, counter.Count(k), full.Count(k))
+		}
+	}
+	if len(counter.Kinds()) != 4 || len(full.Kinds()) != 4 {
+		t.Errorf("Kinds: counter %v, full %v", counter.Kinds(), full.Kinds())
+	}
+}
+
+// Recording a typed event allocates nothing, into a counts-only recorder
+// and into a full ring that has already warmed up.
+func TestTypedEventAllocatesNothing(t *testing.T) {
+	full := NewRecorder(64)
+	for i := 0; i < 64; i++ {
+		full.Add(0, 0, KindPush, "warm %d", i)
+	}
+	for name, r := range map[string]*Recorder{"counter": NewCounter(), "full ring": full} {
+		r.Add(0, 0, KindPush, "warm") // the kind's count exists
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			i++
+			r.AddPrefixed(sim.Time(i), 1, KindPush, "n%d.p%d->n%d.p%d#%d ", "push frag [%d:%d) preloaded=true", 0, 0, 1, 0, i, i, i+760)
+			r.Add(sim.Time(i), 1, KindPush, "frame %d->%d %dB on wire", 0, 1, i)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per typed event pair, want 0", name, allocs)
+		}
+	}
+}
