@@ -50,7 +50,13 @@ type opConfig struct {
 	hasBuf bool
 }
 
+// resolve folds opts over the defaults. Without options it returns the
+// defaults directly: the loop makes cfg escape through the option
+// closures, which costs a heap allocation per call.
 func resolve(opts []Option) opConfig {
+	if len(opts) == 0 {
+		return opConfig{tag: 0, btp: -1}
+	}
 	cfg := opConfig{tag: 0, btp: -1}
 	for _, o := range opts {
 		o(&cfg)

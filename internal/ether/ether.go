@@ -111,6 +111,53 @@ const (
 	txSerialized         // wire held for the serialization time; finish
 )
 
+// frameSink is where a delivery event hands its frame: a Port, or a
+// switch port's egress queue.
+type frameSink interface {
+	DeliverFrame(f Frame)
+}
+
+// deliveries is a free list of delivery records. Scheduling a record's
+// bound method, instead of a fresh closure per hop, keeps the frame path
+// allocation-free once the list is warm.
+type deliveries struct {
+	e    *sim.Engine
+	free []*delivery
+}
+
+// delivery is one frame on its way to a sink, scheduled as an event. It
+// returns to its free list as it runs, before handing the frame over.
+type delivery struct {
+	pool  *deliveries
+	dst   frameSink
+	frame Frame
+	// runFn is the bound run method, created once per record.
+	runFn func()
+}
+
+// schedule delivers f to dst after d. dst is fixed now, as a closure
+// would capture it.
+func (ds *deliveries) schedule(d sim.Duration, dst frameSink, f Frame) {
+	var dl *delivery
+	if n := len(ds.free); n > 0 {
+		dl = ds.free[n-1]
+		ds.free[n-1] = nil
+		ds.free = ds.free[:n-1]
+	} else {
+		dl = &delivery{pool: ds}
+		dl.runFn = dl.run
+	}
+	dl.dst, dl.frame = dst, f
+	ds.e.Schedule(d, dl.runFn)
+}
+
+func (dl *delivery) run() {
+	dst, f := dl.dst, dl.frame
+	dl.dst, dl.frame = nil, Frame{}
+	dl.pool.free = append(dl.pool.free, dl)
+	dst.DeliverFrame(f)
+}
+
 // halfLink is one direction of a full-duplex link: its own wire
 // resource, serialization state, counters and fault injector.
 type halfLink struct {
@@ -118,6 +165,7 @@ type halfLink struct {
 	cfg  Config
 	dst  Port
 	wire *sim.Resource
+	out  deliveries
 	sent uint64
 	lost uint64
 
@@ -145,11 +193,11 @@ func NewLink(e *sim.Engine, cfg Config, a, b Port) *Link {
 		a:   a,
 		b:   b,
 		ab: halfLink{
-			e: e, cfg: cfg, dst: b,
+			e: e, cfg: cfg, dst: b, out: deliveries{e: e},
 			wire: sim.NewResource(e, fmt.Sprintf("wire %d->%d", a.NodeID(), b.NodeID())),
 		},
 		ba: halfLink{
-			e: e, cfg: cfg, dst: a,
+			e: e, cfg: cfg, dst: a, out: deliveries{e: e},
 			wire: sim.NewResource(e, fmt.Sprintf("wire %d->%d", b.NodeID(), a.NodeID())),
 		},
 	}
@@ -218,7 +266,5 @@ func (h *halfLink) finish(f Frame) {
 		h.faultLost++
 		return
 	}
-	frame := f
-	dst := h.dst
-	h.e.Schedule(h.cfg.Propagation, func() { dst.DeliverFrame(frame) })
+	h.out.schedule(h.cfg.Propagation, h.dst, f)
 }

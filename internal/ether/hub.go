@@ -30,6 +30,7 @@ type Hub struct {
 	medium *sim.Resource
 	ports  map[int]Port
 	slot   sim.Duration
+	out    deliveries
 
 	collisions uint64
 	sent       uint64
@@ -49,6 +50,7 @@ func NewHub(e *sim.Engine, cfg Config) *Hub {
 		medium: sim.NewResource(e, "hub-medium"),
 		ports:  make(map[int]Port),
 		slot:   slot,
+		out:    deliveries{e: e},
 	}
 }
 
@@ -135,6 +137,5 @@ func (h *Hub) finish(f Frame) {
 	if !ok {
 		return // repeated to every station; nobody claims it
 	}
-	frame := f
-	h.e.Schedule(h.cfg.Propagation, func() { dst.DeliverFrame(frame) })
+	h.out.schedule(h.cfg.Propagation, dst, f)
 }

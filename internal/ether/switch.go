@@ -20,6 +20,7 @@ type Switch struct {
 	cfg     Config
 	fwd     sim.Duration // lookup/forwarding latency after last bit in
 	ports   map[int]*switchPort
+	fwdQ    deliveries // frames between lookup and the egress queue
 	dropped uint64
 	// faultDropped counts frames the port-blackout injectors discarded at
 	// the forwarding plane.
@@ -29,7 +30,7 @@ type Switch struct {
 // NewSwitch creates a switch with the given per-port link technology and
 // forwarding latency.
 func NewSwitch(e *sim.Engine, cfg Config, forwarding sim.Duration) *Switch {
-	return &Switch{e: e, cfg: cfg, fwd: forwarding, ports: make(map[int]*switchPort)}
+	return &Switch{e: e, cfg: cfg, fwd: forwarding, ports: make(map[int]*switchPort), fwdQ: deliveries{e: e}}
 }
 
 // Dropped reports frames lost to output-queue overflow.
@@ -99,15 +100,24 @@ func (p *switchPort) DeliverFrame(f Frame) {
 		p.sw.dropped++ // unknown destination: flood suppressed, count as drop
 		return
 	}
-	p.sw.e.Schedule(p.sw.fwd, func() {
-		if dst.inj != nil && dst.inj.Blocked(p.sw.e.Now()) {
-			p.sw.faultDropped++ // egress port blacked out
-			return
-		}
-		if !dst.outQ.TryPut(f) {
-			p.sw.dropped++
-		}
-	})
+	p.sw.fwdQ.schedule(p.sw.fwd, (*switchEgress)(dst), f)
+}
+
+// switchEgress is a switch port seen from the forwarding plane: a frame
+// delivered to it has been looked up and joins the port's output queue.
+type switchEgress switchPort
+
+// DeliverFrame queues a forwarded frame for transmission, dropping it if
+// the port is blacked out or its queue is full.
+func (eg *switchEgress) DeliverFrame(f Frame) {
+	p := (*switchPort)(eg)
+	if p.inj != nil && p.inj.Blocked(p.sw.e.Now()) {
+		p.sw.faultDropped++ // egress port blacked out
+		return
+	}
+	if !p.outQ.TryPut(f) {
+		p.sw.dropped++
+	}
 }
 
 // Attach connects a node-side port to the switch and returns the link the

@@ -124,8 +124,8 @@ type Sender struct {
 
 	next     uint32 // next sequence number to assign
 	base     uint32 // oldest unacknowledged
-	inflight []entry
-	pending  []Packet // accepted but outside the window
+	inflight sim.FIFO[entry]
+	pending  sim.FIFO[Packet] // accepted but outside the window
 
 	retransmissions uint64
 	timeouts        uint64
@@ -179,14 +179,14 @@ func (s *Sender) SetOnDead(fn func()) { s.onDead = fn }
 func (s *Sender) Send(bytes int, data any) {
 	pkt := Packet{Seq: s.next, Bytes: bytes, Data: data}
 	s.next++
-	if !s.dead && len(s.inflight) < s.cfg.Window {
-		s.inflight = append(s.inflight, entry{pkt: pkt, sentAt: s.e.Now()})
+	if !s.dead && s.inflight.Len() < s.cfg.Window {
+		s.inflight.Push(entry{pkt: pkt, sentAt: s.e.Now()})
 		s.transmit(pkt)
 		if !s.timer.Armed() {
 			s.timer.Reset(s.rto())
 		}
 	} else {
-		s.pending = append(s.pending, pkt)
+		s.pending.Push(pkt)
 	}
 }
 
@@ -201,14 +201,14 @@ func (s *Sender) OnAck(ack uint32) {
 		return // stale or duplicate
 	}
 	advance := int(ack - s.base)
-	if advance > len(s.inflight) {
-		panic(fmt.Sprintf("gbn: ack %d beyond inflight window [%d, %d)", ack, s.base, s.base+uint32(len(s.inflight))))
+	if advance > s.inflight.Len() {
+		panic(fmt.Sprintf("gbn: ack %d beyond inflight window [%d, %d)", ack, s.base, s.base+uint32(s.inflight.Len())))
 	}
 	now := s.e.Now()
 	var sample sim.Duration
 	haveSample := false
 	for i := 0; i < advance; i++ {
-		ent := &s.inflight[i]
+		ent := s.inflight.At(i)
 		if ent.rexmit {
 			s.recovered++
 		} else {
@@ -218,20 +218,19 @@ func (s *Sender) OnAck(ack uint32) {
 			haveSample = true
 		}
 	}
-	s.inflight = s.inflight[advance:]
+	s.inflight.Discard(advance)
 	s.base = ack
 	s.consec = 0
 	if s.cfg.Adaptive && haveSample {
 		s.updateRTT(sample)
 	}
 	// Open window: promote pending packets.
-	for len(s.pending) > 0 && len(s.inflight) < s.cfg.Window {
-		pkt := s.pending[0]
-		s.pending = s.pending[1:]
-		s.inflight = append(s.inflight, entry{pkt: pkt, sentAt: now})
+	for s.pending.Len() > 0 && s.inflight.Len() < s.cfg.Window {
+		pkt, _ := s.pending.Pop()
+		s.inflight.Push(entry{pkt: pkt, sentAt: now})
 		s.transmit(pkt)
 	}
-	if len(s.inflight) == 0 {
+	if s.inflight.Len() == 0 {
 		s.timer.Stop()
 	} else {
 		s.timer.Reset(s.rto())
@@ -302,7 +301,7 @@ func (s *Sender) rto() sim.Duration {
 // unless the retransmission budget is exhausted — then the sender goes
 // dead and reports it instead.
 func (s *Sender) onTimeout() {
-	if len(s.inflight) == 0 || s.dead {
+	if s.inflight.Len() == 0 || s.dead {
 		return
 	}
 	s.timeouts++
@@ -311,7 +310,7 @@ func (s *Sender) onTimeout() {
 		s.dead = true
 		s.rec.Recordf(s.e.Now(), s.recNode, trace.KindRTO,
 			"retransmission budget exhausted after %d consecutive timeouts, window [%d,%d) abandoned",
-			s.consec-1, s.base, s.base+uint32(len(s.inflight)))
+			s.consec-1, s.base, s.base+uint32(s.inflight.Len()))
 		if s.onDead != nil {
 			cb := s.onDead
 			s.onDead = nil
@@ -319,9 +318,9 @@ func (s *Sender) onTimeout() {
 		}
 		return
 	}
-	s.rec.Add(s.e.Now(), s.recNode, trace.KindRTO, "timeout #%d, window [%d,%d) retransmits", int(s.timeouts), int(s.base), int(s.base+uint32(len(s.inflight))))
-	for i := range s.inflight {
-		ent := &s.inflight[i]
+	s.rec.Add(s.e.Now(), s.recNode, trace.KindRTO, "timeout #%d, window [%d,%d) retransmits", int(s.timeouts), int(s.base), int(s.base+uint32(s.inflight.Len())))
+	for i := 0; i < s.inflight.Len(); i++ {
+		ent := s.inflight.At(i)
 		s.retransmissions++
 		ent.rexmit = true
 		s.rec.Add(s.e.Now(), s.recNode, trace.KindRetransmit, "seq %d (%dB)", int(ent.pkt.Seq), ent.pkt.Bytes)
@@ -335,10 +334,10 @@ func (s *Sender) onTimeout() {
 }
 
 // Outstanding reports packets sent but not yet acknowledged.
-func (s *Sender) Outstanding() int { return len(s.inflight) }
+func (s *Sender) Outstanding() int { return s.inflight.Len() }
 
 // Queued reports packets accepted but still waiting for window space.
-func (s *Sender) Queued() int { return len(s.pending) }
+func (s *Sender) Queued() int { return s.pending.Len() }
 
 // Retransmissions reports the total number of packet retransmissions.
 func (s *Sender) Retransmissions() uint64 { return s.retransmissions }

@@ -344,3 +344,45 @@ func TestTimerNotArmedWhenIdle(t *testing.T) {
 		t.Errorf("idle sender retransmitted %d times (end %v)", s.Retransmissions(), end)
 	}
 }
+
+// TestWindowSlidesInOrderAcrossCompaction drives the sender's inflight
+// and pending FIFOs through many partial acknowledgements, so their head
+// indexes compact and wrap repeatedly: packets still reach the wire in
+// sequence order, a timeout resends exactly the unacknowledged window in
+// order, and Outstanding and Queued track the window at every step.
+func TestWindowSlidesInOrderAcrossCompaction(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := Config{Window: 4, RTO: sim.Millisecond}
+	var wire []uint32
+	s := NewSender(e, cfg, func(pkt Packet) { wire = append(wire, pkt.Seq) })
+	const total = 40
+	for i := 0; i < total; i++ {
+		s.Send(100, i)
+	}
+	if s.Outstanding() != 4 || s.Queued() != total-4 {
+		t.Fatalf("Outstanding()=%d Queued()=%d after sending, want 4 and %d", s.Outstanding(), s.Queued(), total-4)
+	}
+	acked := uint32(0)
+	for _, step := range []uint32{1, 3, 2, 4, 1, 1, 3, 2, 4, 3, 1, 2, 4, 3} {
+		acked += step
+		s.OnAck(acked)
+		queued := total - int(acked) - 4
+		if queued < 0 {
+			queued = 0
+		}
+		if s.Queued() != queued || s.Outstanding() != min(4, total-int(acked)) {
+			t.Fatalf("after ack %d: Outstanding()=%d Queued()=%d, want %d and %d",
+				acked, s.Outstanding(), s.Queued(), min(4, total-int(acked)), queued)
+		}
+	}
+	for i, seq := range wire {
+		if seq != uint32(i) {
+			t.Fatalf("wire order broken at %d: %v", i, wire)
+		}
+	}
+	sent := len(wire)
+	e.RunUntil(sim.Time(cfg.RTO)) // the timer fires once: resend the window
+	if got := wire[sent:]; len(got) != 4 || got[0] != acked || got[3] != acked+3 {
+		t.Fatalf("timeout resent %v, want seqs %d..%d", got, acked, acked+3)
+	}
+}

@@ -10,8 +10,9 @@ import (
 
 var poolretainAnalyzer = &Analyzer{
 	Name: "poolretain",
-	Doc: "flag storing a pooled one-shot object (sim event, nic " +
-		"wireTx/rxJob, pushpull txJob) into a struct field, slice, or " +
+	Doc: "flag storing a pooled one-shot object (sim event and process " +
+		"carrier, smp irqJob, nic wireTx/rxJob, ether delivery, pushpull " +
+		"txJob) into a struct field, slice, or " +
 		"map after the call that returns it to its free list: the pool " +
 		"will recycle the object and the stale reference aliases a " +
 		"different logical event.",
@@ -21,10 +22,13 @@ var poolretainAnalyzer = &Analyzer{
 // pooledTypeNames are the free-listed one-shot types. Matching is by
 // type name so golden testdata can declare local stand-ins.
 var pooledTypeNames = map[string]bool{
-	"event":  true,
-	"wireTx": true,
-	"rxJob":  true,
-	"txJob":  true,
+	"event":    true,
+	"carrier":  true,
+	"irqJob":   true,
+	"wireTx":   true,
+	"rxJob":    true,
+	"delivery": true,
+	"txJob":    true,
 }
 
 // prKind distinguishes the per-function lifecycle events the analyzer
@@ -82,10 +86,11 @@ func pooledObj(info *types.Info, e ast.Expr) types.Object {
 }
 
 // poolNamed reports whether the expression names a free list (the
-// conventional pool/free slice the releasing append targets).
+// conventional pool/free/idle slice the releasing append targets).
 func poolNamed(e ast.Expr) bool {
 	s := strings.ToLower(exprString(e))
-	return strings.Contains(s, "pool") || strings.Contains(s, "free")
+	return strings.Contains(s, "pool") || strings.Contains(s, "free") ||
+		strings.Contains(s, "idle")
 }
 
 // releasingCallee reports whether a call's function name marks it as a

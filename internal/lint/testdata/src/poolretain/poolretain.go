@@ -66,3 +66,81 @@ func (e *engine) recycleOne(ev *event) {
 	ev = e.alloc()
 	e.last = ev
 }
+
+// carrier is a local stand-in for the engine's pooled process carrier:
+// its release is the append onto the idle list.
+type carrier struct {
+	owner *int
+}
+
+type carrierEngine struct {
+	idle    []*carrier
+	running []*carrier
+	last    *carrier
+}
+
+func (e *carrierEngine) finish(c *carrier) {
+	c.owner = nil
+	e.idle = append(e.idle, c)
+	e.last = c // want `after it was released`
+}
+
+func (e *carrierEngine) finishTwice(c *carrier) {
+	e.idle = append(e.idle, c)
+	e.running = append(e.running, c) // want `after it was released`
+}
+
+// clean: the carrier is handed back last.
+func (e *carrierEngine) finishClean(c *carrier) {
+	e.last = c
+	e.idle = append(e.idle, c)
+}
+
+// irqJob is a local stand-in for the interrupt controller's pooled
+// handler record.
+type irqJob struct {
+	handler func()
+}
+
+type controller struct {
+	free    []*irqJob
+	pending map[int]*irqJob
+}
+
+func (ic *controller) done(j *irqJob) {
+	j.handler = nil
+	ic.free = append(ic.free, j)
+	ic.pending[0] = j // want `after it was released`
+}
+
+// clean: read the handler, release, then run it.
+func (ic *controller) run(j *irqJob) {
+	h := j.handler
+	ic.free = append(ic.free, j)
+	h()
+}
+
+// delivery is a local stand-in for ether's pooled frame-delivery record.
+type delivery struct {
+	frame int
+}
+
+type deliveries struct {
+	free []*delivery
+}
+
+type hop struct {
+	d *delivery
+}
+
+func (ds *deliveries) deliver(d *delivery) hop {
+	ds.free = append(ds.free, d)
+	return hop{d: d} // want `after it was released`
+}
+
+// clean: copy the frame out before the record goes back.
+func (ds *deliveries) deliverClean(d *delivery) int {
+	f := d.frame
+	ds.free = append(ds.free, d)
+	return f
+}

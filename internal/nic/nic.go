@@ -307,18 +307,22 @@ func (nc *NIC) DeliverFrame(f ether.Frame) {
 	} else {
 		j = &rxJob{nc: nc}
 		j.tk = nc.node.Engine.NewTasklet("nic-rx", j.step)
+		j.handleFn = j.handle
 	}
 	j.frame = f
 	j.tk.Start()
 }
 
 // rxJob DMAs one received frame into the host ring and raises the
-// handler interrupt.
+// handler interrupt. It stays out of the pool until its handler has read
+// the frame.
 type rxJob struct {
 	nc    *NIC
 	tk    *sim.Tasklet
 	frame ether.Frame
 	pc    int8 // 0 = first bus attempt, 1 = retry, 2 = DMA hold elapsed
+	// handleFn is the bound handle method, created once per record.
+	handleFn func(t *smp.Thread)
 }
 
 func (j *rxJob) step(tk *sim.Tasklet) {
@@ -335,16 +339,23 @@ func (j *rxJob) step(tk *sim.Tasklet) {
 		nc.node.Bus.Release()
 		nc.rxFrames++
 		nc.Rec.Add(tk.Now(), nc.node.ID, trace.KindNICRx, "frame %d->%d %dB in host ring", j.frame.Src, j.frame.Dst, j.frame.PayloadBytes)
-		f := j.frame
-		j.frame, j.pc = ether.Frame{}, 0
-		nc.rxPool = append(nc.rxPool, j)
-		nc.node.IRQ.Raise("nic-rx", func(t *smp.Thread) {
-			t.Exec(nc.cfg.RxProcess)
-			nc.rxInFlight--
-			if nc.onRx != nil {
-				nc.onRx(t, f)
-			}
-		})
+		j.pc = 0
+		nc.node.IRQ.Raise("nic-rx", j.handleFn)
+	}
+}
+
+// handle is the receive interrupt handler: driver processing, then the
+// protocol's receive handler. The job returns to the pool once the frame
+// is read out of it.
+func (j *rxJob) handle(t *smp.Thread) {
+	nc := j.nc
+	t.Exec(nc.cfg.RxProcess)
+	nc.rxInFlight--
+	f := j.frame
+	j.frame = ether.Frame{}
+	nc.rxPool = append(nc.rxPool, j)
+	if nc.onRx != nil {
+		nc.onRx(t, f)
 	}
 }
 

@@ -87,6 +87,7 @@ type Engine struct {
 	rng     *Rand
 
 	procs []*Process // registry of live processes, for Live and Shutdown
+	idle  []*carrier // carriers whose last body returned, for GoAt to reuse
 	// dying flips while Shutdown unwinds parked processes: park resumes
 	// into a poison panic instead of returning to the model.
 	dying    bool
@@ -175,12 +176,18 @@ func (e *Engine) release(ev *event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in order until the event set is exhausted or Stop is
-// called. It returns the final virtual time.
+// called. It returns the final virtual time. Like RunUntil, it retires
+// the idle process carriers when it leaves no event pending.
 func (e *Engine) Run() Time { return e.RunUntil(Time(1<<63 - 1)) }
 
 // RunUntil executes events with timestamps <= limit, then returns. The
 // clock is left at the last executed event (or limit if nothing ran after
 // it); pending later events remain queued.
+//
+// A run that leaves no event pending has nothing left to start a
+// process, so RunUntil then retires the idle carriers' goroutines: an
+// engine dropped after draining (without Shutdown) leaks none. Processes
+// still parked keep theirs until Shutdown.
 //
 // The loop is a two-way merge of the heap and the direct-dispatch queue:
 // both are ordered by (time, priority, seq), so popping the smaller head
@@ -239,6 +246,9 @@ func (e *Engine) RunUntil(limit Time) Time {
 		e.executed++
 		fn()
 	}
+	if len(e.idle) > 0 && e.Pending() == 0 {
+		e.retireIdle()
+	}
 	return e.now
 }
 
@@ -262,8 +272,9 @@ func (e *Engine) unregister(p *Process) {
 }
 
 // Shutdown tears the engine down: every parked process goroutine is
-// resumed into a poison panic that unwinds it (running its defers), and
-// the remaining event set is cleared. Without this, a run that ends with
+// resumed into a poison panic that unwinds it (running its defers), the
+// idle carriers' goroutines are retired, and the remaining event set is
+// cleared. Without this, a run that ends with
 // processes still parked — protocol pumps at virtual-budget exhaustion,
 // for instance — leaks one goroutine per parked process for the life of
 // the program.
@@ -280,9 +291,13 @@ func (e *Engine) Shutdown() {
 	for len(e.procs) > 0 {
 		p := e.procs[len(e.procs)-1]
 		if !p.started {
-			// The start event never ran, so no goroutine exists; clearing
-			// the event set below disposes of the pending start.
+			// The start event never ran, so the process never ran on its
+			// carrier; clearing the event set below disposes of the
+			// pending start.
 			p.done = true
+			p.c.p = nil
+			e.idle = append(e.idle, p.c)
+			p.c = nil
 			e.unregister(p)
 			continue
 		}
@@ -290,7 +305,7 @@ func (e *Engine) Shutdown() {
 		// unfinished process has nowhere else to block). Resume it; park
 		// sees dying and panics the shutdown sentinel, the process's defer
 		// recovers it, unregisters, and yields back.
-		p.resume <- struct{}{}
+		p.c.resume <- struct{}{}
 		<-e.yield
 		if e.fault != nil && fault == nil {
 			fault = e.fault
@@ -298,6 +313,7 @@ func (e *Engine) Shutdown() {
 		e.fault = nil
 	}
 	e.dying = false
+	e.retireIdle()
 	// Drop the remaining event set: anything still scheduled (timers,
 	// wake transfers for processes just unwound) must never run. Bump
 	// generations so outstanding EventHandles turn inert.

@@ -9,22 +9,25 @@ import "fmt"
 // race-free.
 //
 // Process methods must only be called from within that process's own body.
+//
+// A process body runs on a carrier the engine owns: a goroutine and its
+// resume channel, which the engine hands to the next process once this
+// body returns. So a *Process stays valid after its body returns — Done,
+// Name and the finished-process wake panic keep working — but the body
+// must leave nothing scheduled that resumes it (a Sleep it does not wait
+// out, a Cond registration it does not park on): such an event would
+// resume the carrier's next process instead.
 type Process struct {
 	e *Engine
 	// name and ord make up the diagnostic name (see Name).
-	name   string
-	ord    uint64
-	resume chan struct{}
-	// transferFn is the bound transfer method, created once: scheduling
-	// p.transfer directly would allocate a fresh method-value closure on
-	// every wake and sleep.
-	transferFn func()
-	// wakeFn is the wake-path resume: it clears wakePending before
-	// transferring so double-wake detection sees the true state.
-	wakeFn func()
-	done   bool
-	// started flips once the start event has run and the goroutine exists;
-	// Shutdown must not resume a process that never started.
+	name string
+	ord  uint64
+	body func(p *Process)
+	// c is the carrier running the body; nil once the body has returned.
+	c    *carrier
+	done bool
+	// started flips once the start event has run; Shutdown must not resume
+	// a process that never started.
 	started bool
 	// pidx is this process's slot in the engine's registry (for O(1)
 	// swap-removal on finish).
@@ -35,6 +38,26 @@ type Process struct {
 	waiting     bool
 	wakePending bool
 	parked      *Cond
+}
+
+// carrier is a pooled process goroutine. Its start, resume and wake
+// callbacks are bound once, when the carrier is made, so spawning a
+// process on a warm carrier allocates only the Process. The goroutine
+// lives from the carrier's making until it is retired.
+//
+// Only one process owns a carrier at a time, from GoAt until its body
+// returns; the callbacks act on that owner. That is why no event may
+// refer to a process after its body returns (see Process).
+type carrier struct {
+	e      *Engine
+	p      *Process // the owner; nil while idle, and the retire signal
+	resume chan struct{}
+	// startFn, transferFn and wakeFn are the bound start, sleep-expiry
+	// and wake callbacks: scheduling a method value directly would
+	// allocate a fresh closure on every spawn, sleep and wake.
+	startFn    func()
+	transferFn func()
+	wakeFn     func()
 }
 
 // shutdownSentinel is the poison panic used by Engine.Shutdown to unwind
@@ -49,43 +72,98 @@ func (e *Engine) Go(name string, body func(p *Process)) *Process {
 	return e.GoAt(0, name, body)
 }
 
-// GoAt is like Go but delays the start of the process by d.
+// GoAt is like Go but delays the start of the process by d. The process
+// takes an idle carrier, or a new one if none is idle.
 func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
-	p := &Process{e: e, name: name, ord: e.nextOrdinal(), resume: make(chan struct{}, 1)}
-	p.transferFn = p.transfer
-	p.wakeFn = func() {
-		p.wakePending = false
-		p.transfer()
-	}
+	p := &Process{e: e, name: name, ord: e.nextOrdinal(), body: body}
+	p.c = e.takeCarrier()
+	p.c.p = p
 	p.pidx = len(e.procs)
 	e.procs = append(e.procs, p)
-	e.Schedule(d, func() {
-		p.started = true
-		go func() {
-			<-p.resume
-			defer func() {
-				// Panics inside a process would otherwise kill the whole
-				// program from an anonymous goroutine; capture and re-raise
-				// them in engine context so callers of Run see them. The
-				// shutdown sentinel is the one expected unwinding.
-				if r := recover(); r != nil {
-					if _, ok := r.(shutdownSentinel); !ok {
-						p.e.fault = r
-					}
-				}
-				p.done = true
-				p.e.unregister(p)
-				p.e.yield <- struct{}{}
-			}()
-			body(p)
-		}()
-		p.transfer()
-	})
+	e.Schedule(d, p.c.startFn)
 	return p
 }
 
-// transfer hands the engine's control token to the process and blocks until
-// the process parks or finishes. Must be called from engine context.
+// takeCarrier pops an idle carrier, or makes one and starts its
+// goroutine, which waits for its first owner's start.
+func (e *Engine) takeCarrier() *carrier {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &carrier{e: e, resume: make(chan struct{}, 1)}
+	c.startFn = c.start
+	c.transferFn = c.transfer
+	c.wakeFn = func() {
+		c.p.wakePending = false
+		c.transfer()
+	}
+	go c.loop()
+	return c
+}
+
+// retireIdle ends the goroutines of every idle carrier and drops the
+// carriers. Must be called from engine context.
+func (e *Engine) retireIdle() {
+	for i, c := range e.idle {
+		c.resume <- struct{}{} // p is nil: the loop returns
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
+}
+
+// start is the owner's start event: hand the goroutine the control
+// token.
+func (c *carrier) start() {
+	c.p.started = true
+	c.transfer()
+}
+
+// loop is the carrier goroutine: run each owner's body in turn, parked
+// on resume between owners, until a resume arrives with no owner.
+func (c *carrier) loop() {
+	for {
+		<-c.resume
+		if c.p == nil || !c.run(c.p) {
+			return
+		}
+	}
+}
+
+// run executes one body and hands the carrier back to the engine's idle
+// list. It reports false when the body ended the goroutine through
+// runtime.Goexit (a test's FailNow, say): the process still finishes, but
+// the carrier is dropped with its goroutine.
+func (c *carrier) run(p *Process) (reuse bool) {
+	e := c.e
+	defer func() {
+		// Panics inside a process would otherwise kill the whole program
+		// from an anonymous goroutine; capture and re-raise them in
+		// engine context so callers of Run see them. The shutdown
+		// sentinel is the one expected unwinding.
+		if r := recover(); r != nil {
+			reuse = true
+			if _, ok := r.(shutdownSentinel); !ok {
+				e.fault = r
+			}
+		}
+		p.done = true
+		p.c = nil
+		e.unregister(p)
+		c.p = nil
+		if reuse {
+			e.idle = append(e.idle, c)
+		}
+		e.yield <- struct{}{}
+	}()
+	p.body(p)
+	return true
+}
+
+// transfer hands the engine's control token to the owner and blocks until
+// it parks or finishes. Must be called from engine context.
 //
 // Both control channels are buffered (capacity 1), so handing the token
 // over costs each side a single blocking channel operation: the resume
@@ -93,12 +171,12 @@ func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
 // receive; symmetrically the process's yield send completes immediately —
 // the engine regains control without a second rendezvous — and the
 // process parks only on its resume receive.
-func (p *Process) transfer() {
-	p.resume <- struct{}{}
-	<-p.e.yield
-	if p.e.fault != nil {
-		f := p.e.fault
-		p.e.fault = nil
+func (c *carrier) transfer() {
+	c.resume <- struct{}{}
+	<-c.e.yield
+	if c.e.fault != nil {
+		f := c.e.fault
+		c.e.fault = nil
 		panic(f)
 	}
 }
@@ -108,7 +186,7 @@ func (p *Process) transfer() {
 // instead of returning to the model.
 func (p *Process) park() {
 	p.e.yield <- struct{}{}
-	<-p.resume
+	<-p.c.resume
 	if p.e.dying {
 		panic(shutdownSentinel{})
 	}
@@ -130,7 +208,7 @@ func (p *Process) wake() {
 	}
 	p.wakePending = true
 	p.waiting = false
-	p.e.At(p.e.now, PriorityNormal, p.wakeFn)
+	p.e.At(p.e.now, PriorityNormal, p.c.wakeFn)
 }
 
 // parkOn records the cond the process is registering on; with wake it
@@ -172,7 +250,7 @@ func (p *Process) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s sleeping negative duration %d", p.Name(), d))
 	}
-	p.e.At(p.e.now.Add(d), PriorityNormal, p.transferFn)
+	p.e.At(p.e.now.Add(d), PriorityNormal, p.c.transferFn)
 	p.park()
 }
 

@@ -50,8 +50,8 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 }
 
 // TestShutdownDropsNeverStartedProcesses: a process whose start event
-// has not run yet has no goroutine; Shutdown must unregister it without
-// trying to resume one.
+// has not run yet has never run on its carrier; Shutdown must unregister
+// it without resuming its body.
 func TestShutdownDropsNeverStartedProcesses(t *testing.T) {
 	e := NewEngine(1)
 	e.GoAt(Second, "future", func(p *Process) {

@@ -38,9 +38,10 @@
 // the engine's direct-dispatch ring, so a wake chain never leaves engine
 // context.
 //
-// Engines that ran processes should be torn down with Engine.Shutdown
-// once the run is over; otherwise every still-parked process leaks its
-// goroutine.
+// Process bodies run on pooled carrier goroutines, which a run that
+// drains the engine retires. Engines that ran processes should still be
+// torn down with Engine.Shutdown once the run is over; otherwise every
+// still-parked process leaks its goroutine.
 //
 // All state is confined to a single Engine; engines are not safe for use
 // from multiple goroutines except through the process mechanism. Every

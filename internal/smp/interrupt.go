@@ -45,6 +45,9 @@ type InterruptController struct {
 	asymTarget int
 	pollCPU    int
 	raised     uint64
+	// free recycles the per-interrupt records, so a raise on a warm
+	// controller allocates only the handler's sim.Process.
+	free []*irqJob
 }
 
 func newInterruptController(n *Node) *InterruptController {
@@ -74,8 +77,10 @@ func (ic *InterruptController) Raised() uint64 { return ic.raised }
 // Raise is tier-neutral: it only schedules, never blocks, so it may be
 // called from any engine-context code — an event callback, a tasklet step
 // (the NIC receive path raises from one), or a process body. The handler
-// itself always runs on a fresh process named name, because handler
-// bodies block (bus copies, Exec) and so need the goroutine tier.
+// itself always runs on a process named name, because handler bodies
+// block (bus copies, Exec) and so need the goroutine tier; the engine
+// runs it on a pooled carrier. The *Thread passed to handler is recycled
+// when handler returns: the handler must not retain it.
 func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
 	ic.raised++
 	n := ic.node
@@ -99,13 +104,41 @@ func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
 // deliver schedules handler on cpu after an untimed wait (polling delay)
 // plus a timed dispatch cost charged to (and stolen from) the CPU.
 func (ic *InterruptController) deliver(name string, cpu *Processor, wait, cost sim.Duration, handler func(t *Thread)) {
-	n := ic.node
-	n.Engine.GoAt(wait, name, func(p *sim.Process) {
-		t := &Thread{P: p, Node: n, CPU: cpu, handler: true}
-		t.Exec(cost)
-		handler(t)
-		if ic.policy != Polling {
-			t.Exec(n.Cfg.InterruptExit)
-		}
-	})
+	var j *irqJob
+	if n := len(ic.free); n > 0 {
+		j = ic.free[n-1]
+		ic.free[n-1] = nil
+		ic.free = ic.free[:n-1]
+	} else {
+		j = &irqJob{ic: ic}
+		j.runFn = j.run
+	}
+	j.t = Thread{Node: ic.node, CPU: cpu, handler: true}
+	j.cost, j.handler = cost, handler
+	ic.node.Engine.GoAt(wait, name, j.runFn)
+}
+
+// irqJob is one handler invocation: the handler's Thread and what to run
+// on it. It returns to the controller's free list when the handler
+// returns, so the Thread it lent the handler is recycled with it.
+type irqJob struct {
+	ic      *InterruptController
+	t       Thread
+	cost    sim.Duration
+	handler func(t *Thread)
+	// runFn is the bound run method, created once per record.
+	runFn func(p *sim.Process)
+}
+
+// run is the handler process's body.
+func (j *irqJob) run(p *sim.Process) {
+	t := &j.t
+	t.P = p
+	t.Exec(j.cost)
+	j.handler(t)
+	if j.ic.policy != Polling {
+		t.Exec(t.Node.Cfg.InterruptExit)
+	}
+	j.t, j.handler = Thread{}, nil
+	j.ic.free = append(j.ic.free, j)
 }

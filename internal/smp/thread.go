@@ -7,6 +7,9 @@ import (
 // Thread is a flow of control (user process, kernel thread, or interrupt
 // handler body) bound to one processor of a node. Timed operations charge
 // the bound CPU; Copy and PIO additionally occupy the memory bus.
+//
+// An interrupt handler's *Thread is recycled when the handler returns
+// (see InterruptController.Raise), so a handler must not retain it.
 type Thread struct {
 	P    *sim.Process
 	Node *Node
