@@ -15,10 +15,11 @@ import (
 // raises. Each receive interrupt allocates only its handler's
 // sim.Process; the rest is the received copy Recv returns, the
 // per-message protocol state, and the wire messages boxed into frame
-// payloads. The count is exact: 70, against 242 when every interrupt
-// started a fresh goroutine and every frame hop scheduled a fresh
-// closure.
-const roundTripAllocs = 70
+// payloads. The count is exact: 66, against 70 when each send and
+// receive validated its buffer by building a scatter list it threw away,
+// and 242 when every interrupt started a fresh goroutine and every frame
+// hop scheduled a fresh closure.
+const roundTripAllocs = 66
 
 // TestInternodeRoundTripAllocs pins the clean path's per-round-trip
 // allocations, so a fresh closure or goroutine per frame cannot slip

@@ -63,8 +63,9 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
-			// One engine->process->engine switch: two processes alternately
-			// yielding (goroutine-handoff bound).
+			// One process resume: two processes alternately yielding, so
+			// each resume passes control straight from one carrier
+			// goroutine to the other (one goroutine switch).
 			Name: "BenchmarkProcessSwitch",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)

@@ -86,7 +86,7 @@ func (ep *Endpoint) SendOpt(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data 
 		return fmt.Errorf("pushpull: send with wildcard tag from %v", ep.ID)
 	}
 	if len(data) > 0 {
-		if _, err := ep.Space.Translate(addr, len(data)); err != nil {
+		if err := ep.Space.Check(addr, len(data)); err != nil {
 			return fmt.Errorf("pushpull: send source: %w", err)
 		}
 	}
@@ -131,7 +131,7 @@ func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, buf
 		return nil, Status{}, fmt.Errorf("pushpull: negative receive buffer on %v", ep.ID)
 	}
 	if bufLen > 0 {
-		if _, err := ep.Space.Translate(addr, bufLen); err != nil {
+		if err := ep.Space.Check(addr, bufLen); err != nil {
 			return nil, Status{}, fmt.Errorf("pushpull: receive destination: %w", err)
 		}
 	}

@@ -82,9 +82,18 @@ type Engine struct {
 	dq     []dispatchEntry
 	dqHead int
 
-	yield   chan struct{} // running process hands control back here
+	// home is where a carrier hands the control token back to the Run
+	// caller: when the run ends on it, or when its body ends the
+	// goroutine with runtime.Goexit.
+	home    chan struct{}
 	stopped bool
+	limit   Time // the current RunUntil's horizon
 	rng     *Rand
+	// next is the carrier the last event handed control to (a start,
+	// sleep-expiry or wake); dispatch resumes it once the event returns.
+	next *carrier
+	// handoffs counts control transfers between goroutines.
+	handoffs uint64
 
 	procs []*Process // registry of live processes, for Live and Shutdown
 	idle  []*carrier // carriers whose last body returned, for GoAt to reuse
@@ -102,8 +111,8 @@ type Engine struct {
 // random source derived from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		yield: make(chan struct{}, 1),
-		rng:   NewRand(seed),
+		home: make(chan struct{}, 1),
+		rng:  NewRand(seed),
 	}
 }
 
@@ -188,13 +197,70 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<63 - 1)) }
 // process, so RunUntil then retires the idle carriers' goroutines: an
 // engine dropped after draining (without Shutdown) leaks none. Processes
 // still parked keep theirs until Shutdown.
+func (e *Engine) RunUntil(limit Time) Time {
+	e.stopped = false
+	e.limit = limit
+	e.dispatch(nil)
+	if f := e.fault; f != nil {
+		e.fault = nil
+		panic(f)
+	}
+	if len(e.idle) > 0 && e.Pending() == 0 {
+		e.retireIdle()
+	}
+	return e.now
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// control token: the Run caller (self nil) or a carrier (self), parked
+// under its process's park or idle after its body returned. It returns
+// when control is self's again. When an event hands control to self,
+// that costs no goroutine switch at all; to any other carrier, or to the
+// Run caller when the run ends, one send and one receive.
+func (e *Engine) dispatch(self *carrier) {
+	for {
+		c := e.runEvents(self)
+		if c == self {
+			return
+		}
+		e.handoffs++
+		if c != nil {
+			c.resume <- struct{}{}
+		} else {
+			e.home <- struct{}{}
+		}
+		if self != nil {
+			<-self.resume
+			return
+		}
+		// The run ended on a carrier, or a body's Goexit handed the
+		// token back: runEvents tells which.
+		<-e.home
+	}
+}
+
+// runEvents executes events until one hands control to a carrier, which
+// it returns, or until the run ends — limit, Stop, a fault or no event
+// left — when it returns nil. A callback that panics on a carrier is
+// recovered here and re-raised by RunUntil, so the fault reaches Run's
+// caller instead of killing the program from an anonymous goroutine.
 //
 // The loop is a two-way merge of the heap and the direct-dispatch queue:
 // both are ordered by (time, priority, seq), so popping the smaller head
 // preserves the engine's total execution order exactly.
-func (e *Engine) RunUntil(limit Time) Time {
-	e.stopped = false
+func (e *Engine) runEvents(self *carrier) (next *carrier) {
+	if self != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				e.fault, e.stopped, e.next, next = r, true, nil, nil
+			}
+		}()
+	}
 	for !e.stopped {
+		if c := e.next; c != nil {
+			e.next = nil
+			return c
+		}
 		hasDQ := e.dqHead < len(e.dq)
 		hasHeap := len(e.events) > 0
 		if !hasDQ && !hasHeap {
@@ -212,19 +278,19 @@ func (e *Engine) RunUntil(limit Time) Time {
 			}
 		}
 		if useHeap {
-			next := e.events[0]
-			if next.at > limit {
+			ev := e.events[0]
+			if ev.at > e.limit {
 				break
 			}
 			e.heapPopTop()
-			e.now = next.at
+			e.now = ev.at
 			e.executed++
-			fn := next.fn
-			e.release(next)
+			fn := ev.fn
+			e.release(ev)
 			fn()
 			continue
 		}
-		if e.now > limit {
+		if e.now > e.limit {
 			break
 		}
 		fn := e.dq[e.dqHead].fn
@@ -246,10 +312,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		e.executed++
 		fn()
 	}
-	if len(e.idle) > 0 && e.Pending() == 0 {
-		e.retireIdle()
-	}
-	return e.now
+	return nil
 }
 
 // Pending reports the number of queued events.
@@ -259,9 +322,9 @@ func (e *Engine) Pending() int { return len(e.events) + (len(e.dq) - e.dqHead) }
 func (e *Engine) Live() int { return len(e.procs) }
 
 // unregister removes p from the live-process registry by swapping the
-// last entry into its slot. It runs either in engine context (never-
-// started processes dropped by Shutdown) or in a finishing process's
-// goroutine while the engine is blocked on yield — exclusive either way.
+// last entry into its slot. It runs on whichever goroutine holds the
+// control token: the Shutdown caller (never-started processes) or the
+// finishing process's carrier — exclusive either way.
 func (e *Engine) unregister(p *Process) {
 	last := len(e.procs) - 1
 	moved := e.procs[last]
@@ -286,7 +349,9 @@ func (e *Engine) unregister(p *Process) {
 // during unwinding, the first such fault is re-raised after teardown
 // completes.
 func (e *Engine) Shutdown() {
-	e.dying = true
+	// stopped keeps each unwound carrier from dispatching: it hands the
+	// token straight back home.
+	e.dying, e.stopped = true, true
 	var fault any
 	for len(e.procs) > 0 {
 		p := e.procs[len(e.procs)-1]
@@ -304,9 +369,10 @@ func (e *Engine) Shutdown() {
 		// The goroutine is blocked in park's resume receive (a started,
 		// unfinished process has nowhere else to block). Resume it; park
 		// sees dying and panics the shutdown sentinel, the process's defer
-		// recovers it, unregisters, and yields back.
+		// recovers it and unregisters, and the carrier hands the token
+		// back home.
 		p.c.resume <- struct{}{}
-		<-e.yield
+		<-e.home
 		if e.fault != nil && fault == nil {
 			fault = e.fault
 		}

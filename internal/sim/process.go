@@ -3,10 +3,15 @@ package sim
 import "fmt"
 
 // Process is a goroutine-backed simulation coroutine. At most one process
-// (or event callback) executes at any moment: the engine resumes a process,
-// then blocks until the process parks again (by sleeping or waiting) or
-// finishes. This strict hand-off keeps simulations deterministic and
-// race-free.
+// (or event callback) executes at any moment: control is a single token
+// that passes from goroutine to goroutine, and the event loop runs on
+// whichever goroutine holds it. This strict hand-off keeps simulations
+// deterministic and race-free.
+//
+// A resume costs at most one goroutine switch: a parking process runs
+// the event loop itself until an event hands control on, and when that
+// event is its own wake (a Sleep with no other event due first) it
+// resumes inline, with no switch at all.
 //
 // Process methods must only be called from within that process's own body.
 //
@@ -47,14 +52,18 @@ type Process struct {
 //
 // Only one process owns a carrier at a time, from GoAt until its body
 // returns; the callbacks act on that owner. That is why no event may
-// refer to a process after its body returns (see Process).
+// refer to a process after its body returns (see Process). A carrier
+// whose body returned keeps the control token and goes on dispatching
+// events from the idle list, so a process spawned onto it next (GoAt
+// reuses the last idle carrier first) often starts without a switch.
 type carrier struct {
 	e      *Engine
 	p      *Process // the owner; nil while idle, and the retire signal
 	resume chan struct{}
 	// startFn, transferFn and wakeFn are the bound start, sleep-expiry
 	// and wake callbacks: scheduling a method value directly would
-	// allocate a fresh closure on every spawn, sleep and wake.
+	// allocate a fresh closure on every spawn, sleep and wake. Each only
+	// names the carrier as the next to run; dispatch does the switch.
 	startFn    func()
 	transferFn func()
 	wakeFn     func()
@@ -95,17 +104,18 @@ func (e *Engine) takeCarrier() *carrier {
 	}
 	c := &carrier{e: e, resume: make(chan struct{}, 1)}
 	c.startFn = c.start
-	c.transferFn = c.transfer
+	c.transferFn = func() { e.next = c }
 	c.wakeFn = func() {
 		c.p.wakePending = false
-		c.transfer()
+		e.next = c
 	}
 	go c.loop()
 	return c
 }
 
 // retireIdle ends the goroutines of every idle carrier and drops the
-// carriers. Must be called from engine context.
+// carriers. Must be called by the holder of the control token, with the
+// run over: every idle carrier is then blocked on its resume.
 func (e *Engine) retireIdle() {
 	for i, c := range e.idle {
 		c.resume <- struct{}{} // p is nil: the loop returns
@@ -114,39 +124,56 @@ func (e *Engine) retireIdle() {
 	e.idle = e.idle[:0]
 }
 
-// start is the owner's start event: hand the goroutine the control
-// token.
+// start is the owner's start event.
 func (c *carrier) start() {
 	c.p.started = true
-	c.transfer()
+	c.e.next = c
 }
 
-// loop is the carrier goroutine: run each owner's body in turn, parked
-// on resume between owners, until a resume arrives with no owner.
+// loop is the carrier goroutine: wait for the first owner's start, then
+// run each owner's body in turn, dispatching events between owners, until
+// a resume arrives with no owner.
 func (c *carrier) loop() {
-	for {
-		<-c.resume
-		if c.p == nil || !c.run(c.p) {
+	exiting, idle := true, false
+	defer func() {
+		if !exiting {
 			return
 		}
+		// runtime.Goexit (a test's FailNow, say) is ending the goroutine
+		// while it holds the control token. A body's Goexit drops the
+		// carrier (see run); a callback's between owners leaves it on the
+		// idle list, or owned by a process not yet started, so a fresh
+		// goroutine takes over. Either way the Run caller carries on.
+		if idle {
+			go c.loop()
+		}
+		c.e.home <- struct{}{}
+	}()
+	<-c.resume
+	for c.p != nil {
+		c.run(c.p)
+		idle = true
+		c.e.dispatch(c)
+		idle = false
 	}
+	exiting = false
 }
 
-// run executes one body and hands the carrier back to the engine's idle
-// list. It reports false when the body ended the goroutine through
-// runtime.Goexit (a test's FailNow, say): the process still finishes, but
-// the carrier is dropped with its goroutine.
-func (c *carrier) run(p *Process) (reuse bool) {
+// run executes one body and puts the carrier back on the engine's idle
+// list. A body that ends the goroutine through runtime.Goexit still
+// finishes its process, but the carrier is dropped with its goroutine.
+func (c *carrier) run(p *Process) {
 	e := c.e
+	reuse := false
 	defer func() {
-		// Panics inside a process would otherwise kill the whole program
-		// from an anonymous goroutine; capture and re-raise them in
-		// engine context so callers of Run see them. The shutdown
+		// A panic inside a process would otherwise kill the whole program
+		// from an anonymous goroutine; capture it and end the run, and
+		// RunUntil re-raises it so callers of Run see it. The shutdown
 		// sentinel is the one expected unwinding.
 		if r := recover(); r != nil {
 			reuse = true
 			if _, ok := r.(shutdownSentinel); !ok {
-				e.fault = r
+				e.fault, e.stopped = r, true
 			}
 		}
 		p.done = true
@@ -156,37 +183,17 @@ func (c *carrier) run(p *Process) (reuse bool) {
 		if reuse {
 			e.idle = append(e.idle, c)
 		}
-		e.yield <- struct{}{}
 	}()
 	p.body(p)
-	return true
+	reuse = true
 }
 
-// transfer hands the engine's control token to the owner and blocks until
-// it parks or finishes. Must be called from engine context.
-//
-// Both control channels are buffered (capacity 1), so handing the token
-// over costs each side a single blocking channel operation: the resume
-// send completes immediately and the engine parks only on the yield
-// receive; symmetrically the process's yield send completes immediately —
-// the engine regains control without a second rendezvous — and the
-// process parks only on its resume receive.
-func (c *carrier) transfer() {
-	c.resume <- struct{}{}
-	<-c.e.yield
-	if c.e.fault != nil {
-		f := c.e.fault
-		c.e.fault = nil
-		panic(f)
-	}
-}
-
-// park suspends the process until something resumes it. Must be called from
-// process context. A resume during engine shutdown unwinds the goroutine
-// instead of returning to the model.
+// park suspends the process until something resumes it, running the event
+// loop on its goroutine meanwhile. Must be called from process context. A
+// resume during engine shutdown unwinds the goroutine instead of
+// returning to the model.
 func (p *Process) park() {
-	p.e.yield <- struct{}{}
-	<-p.c.resume
+	p.e.dispatch(p.c)
 	if p.e.dying {
 		panic(shutdownSentinel{})
 	}

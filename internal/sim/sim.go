@@ -10,11 +10,14 @@
 //
 //   - Processes (sim.Process): goroutine-backed coroutines that may block
 //     on virtual time (Sleep), conditions (Cond), bounded queues (Queue)
-//     and resources (Resource). The engine hands control to at most one
-//     process at a time, so process code reads like straight-line protocol
-//     code yet remains deterministic. Each resume costs a goroutine
-//     handoff (~2 µs): fine for application-level scenario code, too
-//     expensive for protocol hot paths.
+//     and resources (Resource). Control is one token that passes between
+//     goroutines, and the event loop runs on whichever goroutine holds
+//     it, so at most one process runs at a time and process code reads
+//     like straight-line protocol code yet remains deterministic. A
+//     resume costs one goroutine switch (~0.7 µs), or none when the
+//     process's own wake is the next event due: fine for application-
+//     level scenario code, still ~20x a tasklet resume on protocol hot
+//     paths.
 //   - Tasklets (sim.Tasklet): resumable state-machine callbacks dispatched
 //     inline by the engine with zero goroutine handoff. A tasklet's step
 //     function runs in engine context and parks by registering with a

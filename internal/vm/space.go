@@ -107,6 +107,24 @@ func (s *AddressSpace) Translate(addr VirtAddr, n int) (ZeroBuffer, error) {
 	return z, nil
 }
 
+// Check reports the error Translate would return for [addr, addr+n),
+// without building the scatter list: for callers that only validate a
+// range.
+func (s *AddressSpace) Check(addr VirtAddr, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("vm: translate of non-positive length %d", n)
+	}
+	for cur, remaining := addr, n; remaining > 0; {
+		if _, ok := s.pt[cur.PageOf()]; !ok {
+			return fmt.Errorf("vm: %s: page fault at %#x", s.name, cur)
+		}
+		take := PageSize - cur.Offset()
+		cur += VirtAddr(take)
+		remaining -= take
+	}
+	return nil
+}
+
 // TranslateCost reports the virtual time a Translate of this range costs.
 func (s *AddressSpace) TranslateCost(addr VirtAddr, n int) sim.Duration {
 	return s.cost.Cost(addr, n)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,48 @@ func TestTranslateUnmappedFails(t *testing.T) {
 	}
 	if _, err := s.Translate(s.Alloc(100), 0); err == nil {
 		t.Error("zero-length translate succeeded")
+	}
+}
+
+// TestCheckMatchesTranslate: Check accepts exactly the ranges Translate
+// accepts, with the same error text, including a range whose first page
+// is mapped and whose second is not, and one that wraps past the top of
+// the address space.
+func TestCheckMatchesTranslate(t *testing.T) {
+	s := newSpace(t)
+	a := s.Alloc(2 * PageSize)
+	s.Free(a+PageSize, PageSize)
+	for _, r := range []struct {
+		addr VirtAddr
+		n    int
+	}{
+		{a, 100}, {a + 10, PageSize - 10}, {a + 100, PageSize},
+		{VirtAddr(0xdead000), 100}, {a, 0}, {a, -1},
+		{VirtAddr(^uint64(0) - 10), 100},
+	} {
+		_, terr := s.Translate(r.addr, r.n)
+		cerr := s.Check(r.addr, r.n)
+		if (terr == nil) != (cerr == nil) || (terr != nil && terr.Error() != cerr.Error()) {
+			t.Errorf("Check(%#x, %d) = %v, Translate error %v", r.addr, r.n, cerr, terr)
+		}
+	}
+	if err := s.Check(a+100, PageSize); err == nil || err.Error() !=
+		fmt.Sprintf("vm: test: page fault at %#x", a+PageSize) {
+		t.Errorf("Check across into a freed page: %v", err)
+	}
+}
+
+// TestCheckAllocatesNothing: validating a multi-page range builds no
+// scatter list.
+func TestCheckAllocatesNothing(t *testing.T) {
+	s := newSpace(t)
+	a := s.Alloc(8 * PageSize)
+	if got := testing.AllocsPerRun(100, func() {
+		if err := s.Check(a+7, 7*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("Check allocates %v objects per call, want 0", got)
 	}
 }
 
