@@ -92,6 +92,15 @@ scenarios:
 digests:
 	$(GO) test ./internal/scenario -run TestBuiltinDigestsPinned -update -v
 
+# figures recaptures the pinned experiment tables
+# (internal/bench/testdata/tables.golden: every pushpull-bench table at
+# 30 iterations). Recapture under the same policy as `make digests`:
+# only a wire-behavior change may move a number, and a refactor of the
+# bench or sweep layers must leave the file byte-identical.
+.PHONY: figures
+figures:
+	$(GO) test ./internal/bench -run TestSmokeAll -update
+
 # examples builds and runs every example binary in its -short
 # configuration. Each example drives its cluster under a virtual-time
 # budget (cluster.RunWithin), so a protocol stall fails the smoke run
