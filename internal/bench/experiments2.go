@@ -236,7 +236,7 @@ func runCollective(p Params) []*stats.Table {
 			s.Add(float64(vec), end.Sub(start).Microseconds()/float64(iters))
 		}
 	}
-	tab.Comment = "collective steps are the §5.3 early/late races; push-pull stays near the per-pattern best while three-phase pays its handshake on every exchange"
+	tab.Comment = "collective steps are the §5.3 early/late races; push-all is fastest at every size and push-pull matches it at 64 B, beating push-zero and three-phase up to 1 KB, but at 8 KB push-pull is the slowest of the four"
 	return []*stats.Table{tab}
 }
 
