@@ -5,11 +5,12 @@
 // barrier-synchronized compute-then-communicate early/late receiver
 // tests, and middle-80 % trimmed means over repeated iterations.
 //
-// The paper's latency curves are builtin sweeps of internal/scenario,
-// and Curve turns a sweep result into a table. The experiments that
-// derive one cell from several runs (bandwidth, peaks, quantiles) run
-// scenario Specs through Latency and Bandwidth; the few bodies the
-// pattern vocabulary cannot express drive a cluster directly.
+// Every multi-point table reads a builtin sweep of internal/scenario
+// through Table, which measures each point (trimmed mean, plain mean or
+// Bandwidth) and lays the values out by the sweep's axes. The headline
+// table and the hub's latency quantiles run scenario Specs of their own;
+// the few bodies the pattern vocabulary cannot express drive a cluster
+// directly, and the collective ones share one barrier-timed loop.
 package bench
 
 import (
@@ -51,47 +52,68 @@ func Bandwidth(s scenario.Spec) float64 {
 	return float64(s.Traffic.Size) / per // bytes/µs == MB/s
 }
 
-// Curve runs the builtin sweep id as a latency table, capping every
-// point at iters messages. The grid's last axis is x (its labels are
-// numbers) and the axis before it, if any, names the series; a one-axis
-// sweep has a single series labelled single. y is each point's
-// middle-80% trimmed-mean latency; the table is titled with the sweep's
-// description.
-func Curve(id string, iters int, xLabel, single string) *stats.Table {
-	sw, err := scenario.SweepByName(id)
-	must(err)
+// Table expands sw, measures every point with y across
+// scenario.ParallelFor and lays the values out as a table. The grid's
+// last axis is x, and its labels are numbers; the axis before it, if
+// any, names the series. y returns one value per series: exactly one
+// when the grid has a series axis, otherwise one for each label in
+// single, so several series can share one run of a point.
+func Table(sw scenario.Sweep, title, xLabel, yLabel string, y func(scenario.Spec) []float64, single ...string) *stats.Table {
 	axes := sw.Grid.Axes
 	if len(axes) == 0 || len(axes) > 2 || len(sw.Grid.Seeds) > 0 {
-		panic(fmt.Sprintf("bench: sweep %s is not a curve: want one or two axes and no seeds", id))
+		panic(fmt.Sprintf("bench: sweep %s is not a table: want one or two axes and no seeds", sw.Name))
 	}
-	sw.Base.Traffic.Messages = min(sw.Base.Traffic.Messages, iters)
-	res, err := scenario.RunSweep(sw, 0)
+	points, err := sw.Expand()
 	must(err)
-	if res.Failed > 0 {
-		panic(fmt.Sprintf("bench: sweep %s: %d of %d points failed", id, res.Failed, res.Points))
-	}
+	vals := make([][]float64, len(points))
+	scenario.ParallelFor(len(points), 0, func(i int) { vals[i] = y(points[i].Spec) })
 
-	tab := stats.NewTable(sw.Description, xLabel, "single-trip µs, middle-80% mean")
 	xAxis := axes[len(axes)-1]
-	var series []string
-	if len(axes) > 1 {
-		seriesAxis := axes[len(axes)-2]
-		for i := range seriesAxis.Values {
-			series = append(series, seriesAxis.Label(i))
+	xs := make([]float64, len(xAxis.Values))
+	for j := range xs {
+		xs[j], err = strconv.ParseFloat(xAxis.Label(j), 64)
+		must(err)
+	}
+	tab := stats.NewTable(title, xLabel, yLabel)
+	// The x axis is innermost, so the points run in rows of len(xs),
+	// one row per value of the series axis.
+	add := func(label string, row, k int) {
+		s := tab.AddSeries(label)
+		for j, x := range xs {
+			s.Add(x, vals[row*len(xs)+j][k])
+		}
+	}
+	if len(axes) == 2 {
+		for row := range axes[0].Values {
+			add(axes[0].Label(row), row, 0)
 		}
 	} else {
-		series = []string{single}
-	}
-	// The x axis is innermost, so the results run series by series.
-	for i, label := range series {
-		s := tab.AddSeries(label)
-		for j := range xAxis.Values {
-			x, err := strconv.ParseFloat(xAxis.Label(j), 64)
-			must(err)
-			s.Add(x, res.Results[i*len(xAxis.Values)+j].Result.Latency.TrimmedMean)
+		for k, label := range single {
+			add(label, 0, k)
 		}
 	}
 	return tab
+}
+
+// trimmedMean and bandwidth are the one-value measures of Table: a
+// point's middle-80% trimmed-mean latency, and its Bandwidth.
+func trimmedMean(s scenario.Spec) []float64 { return []float64{Latency(s).TrimmedMean} }
+func bandwidth(s scenario.Spec) []float64   { return []float64{Bandwidth(s)} }
+
+// sweep returns the builtin sweep id.
+func sweep(id string) scenario.Sweep {
+	sw, err := scenario.SweepByName(id)
+	must(err)
+	return sw
+}
+
+// latencyCurve is the latency table of the builtin sweep id, every
+// point capped at iters messages and the table titled with the sweep's
+// description.
+func latencyCurve(id string, iters int, xLabel string, single ...string) *stats.Table {
+	sw := sweep(id)
+	sw.Base.Traffic.Messages = min(sw.Base.Traffic.Messages, iters)
+	return Table(sw, sw.Description, xLabel, "single-trip µs, middle-80% mean", trimmedMean, single...)
 }
 
 func must(err error) {

@@ -44,37 +44,37 @@ func All() []Experiment {
 			ID:    "fig3",
 			Title: "Figure 3: intranode single-trip latency vs message size (pushed buffer 12 KB)",
 			Paper: "7.5 µs minimum at 10 B; Push-All degrades abruptly around 4000 B; Push-Pull steady",
-			Run:   curve("fig3", "size(B)", ""),
+			Run:   curve("fig3", "size(B)"),
 		},
 		{
 			ID:    "fig4",
 			Title: "Figure 4: internode latency under the three optimizing techniques (BTP(1)=80, BTP(2)=680)",
 			Paper: "identical curves up to 760 B; beyond it full < overlap-only < mask-only < none",
-			Run:   curve("fig4", "size(B)", ""),
+			Run:   curve("fig4", "size(B)"),
 		},
 		{
 			ID:    "fig6-early",
 			Title: "Figure 6 (left): early receiver test (x=500k, y=100k NOPs, pushed buffer 4 KB)",
 			Paper: "Push-Zero constantly slower; Push-Pull and Push-All close, Push-Pull slightly ahead",
-			Run:   curve("fig6-early", "size(B)", ""),
+			Run:   curve("fig6-early", "size(B)"),
 		},
 		{
 			ID:    "fig6-late",
 			Title: "Figure 6 (right): late receiver test (x=100k, y=300k NOPs, pushed buffer 4 KB)",
 			Paper: "Push-All fastest below 3072 B then collapses (~150 ms via go-back-N); Push-Pull < Push-Zero throughout",
-			Run:   curve("fig6-late", "size(B)", ""),
+			Run:   curve("fig6-late", "size(B)"),
 		},
 		{
 			ID:    "btp2",
 			Title: "§5.2 test 1: sweep BTP(2) with BTP(1)=0 (1400 B messages)",
 			Paper: "latency falls as BTP(2) grows, bottoming out around 680 B",
-			Run:   runBTP2,
+			Run:   btpCurve("btp2", "BTP2(B)", "BTP(2)", 680),
 		},
 		{
 			ID:    "btp1",
 			Title: "§5.2 test 2: sweep BTP(1) with BTP(2)=680 (1400 B messages)",
 			Paper: "small BTP(1) helps; beyond a threshold latency grows — 80 B chosen",
-			Run:   runBTP1,
+			Run:   btpCurve("btp1", "BTP1(B)", "BTP(1)", 80),
 		},
 		{
 			ID:    "headline",
@@ -86,13 +86,13 @@ func All() []Experiment {
 			ID:    "ablation-interrupt",
 			Title: "Ablation: reception-handler invocation method (§2 stage 3, §4.1)",
 			Paper: "symmetric interrupt chosen for the optimized configuration",
-			Run:   curve("ablation-interrupt", "size(B)", ""),
+			Run:   curve("ablation-interrupt", "size(B)"),
 		},
 		{
 			ID:    "ablation-trigger",
 			Title: "Ablation: user-level NIC trigger vs kernel driver path (§4.3)",
 			Paper: "user-level direct thread invocation required for translation masking",
-			Run:   curve("ablation-trigger", "size(B)", ""),
+			Run:   curve("ablation-trigger", "size(B)"),
 		},
 		{
 			ID:    "ablation-zerobuf",
@@ -173,10 +173,10 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// curve is the Run of a latency-curve experiment: the table Curve
-// makes of the builtin sweep id.
-func curve(id, xLabel, single string) func(Params) []*stats.Table {
-	return func(p Params) []*stats.Table { return []*stats.Table{Curve(id, p.Iters, xLabel, single)} }
+// curve is the Run of a latency-curve experiment: latencyCurve of the
+// builtin sweep id.
+func curve(id, xLabel string, single ...string) func(Params) []*stats.Table {
+	return func(p Params) []*stats.Table { return []*stats.Table{latencyCurve(id, p.Iters, xLabel, single...)} }
 }
 
 // testbed is the paper's two-node testbed running a size-byte ping-pong
@@ -193,20 +193,18 @@ func intranode(s scenario.Spec) scenario.Spec {
 	return s
 }
 
-func runBTP2(p Params) []*stats.Table {
-	tab := Curve("btp2", p.Iters, "BTP2(B)", "push-pull")
-	tab.Comment = fmt.Sprintf("paper picks BTP(2)=680; this run's minimum is at %g", argminX(tab.Series[0]))
-	return []*stats.Table{tab}
-}
-
-func runBTP1(p Params) []*stats.Table {
-	tab := Curve("btp1", p.Iters, "BTP1(B)", "push-pull")
-	tab.Comment = fmt.Sprintf("paper picks BTP(1)=80; this run's minimum is at %g", argminX(tab.Series[0]))
-	return []*stats.Table{tab}
+// btpCurve is the Run of a BTP sweep: the curve, commented with where
+// its minimum falls against the value the paper picks.
+func btpCurve(id, xLabel, btp string, pick int) func(Params) []*stats.Table {
+	return func(p Params) []*stats.Table {
+		tab := latencyCurve(id, p.Iters, xLabel, "push-pull")
+		tab.Comment = fmt.Sprintf("paper picks %s=%d; this run's minimum is at %g", btp, pick, argminX(tab.Series[0]))
+		return []*stats.Table{tab}
+	}
 }
 
 func runThreePhase(p Params) []*stats.Table {
-	tab := Curve("threephase", p.Iters, "size(B)", "")
+	tab := latencyCurve("threephase", p.Iters, "size(B)")
 	tab.Comment = "the paper's §1 motivation: the handshake penalizes every size, worst in relative terms for short messages"
 	return []*stats.Table{tab}
 }
@@ -240,23 +238,18 @@ func runHeadline(p Params) []*stats.Table {
 	}
 	add("intranode 10B single-trip µs", 7.5, Latency(intra(10, p.Iters)).TrimmedMean)
 
-	peakIntra := 0.0
-	for _, n := range []int{2000, 4000, 8192, 16384} {
-		if bw := Bandwidth(intra(n, p.per(4))); bw > peakIntra {
-			peakIntra = bw
+	peak := func(spec func(size, messages int) scenario.Spec, messages int, sizes ...int) float64 {
+		best := 0.0
+		for _, n := range sizes {
+			best = max(best, Bandwidth(spec(n, messages)))
 		}
+		return best
 	}
-	add("intranode peak bandwidth MB/s", 350.9, peakIntra)
+	add("intranode peak bandwidth MB/s", 350.9, peak(intra, p.per(4), 2000, 4000, 8192, 16384))
 
 	add("internode 4B single-trip µs", 34.9, Latency(testbed(4, p.Iters)).TrimmedMean)
 
-	peakInter := 0.0
-	for _, n := range []int{16384, 65536} {
-		if bw := Bandwidth(testbed(n, p.per(10))); bw > peakInter {
-			peakInter = bw
-		}
-	}
-	add("internode peak bandwidth MB/s", 12.1, peakInter)
+	add("internode peak bandwidth MB/s", 12.1, peak(testbed, p.per(10), 16384, 65536))
 
 	space := vm.NewAddressSpace("probe", vm.NewFrameAllocator(1<<24), vm.DefaultCostModel())
 	addr := space.Alloc(64 << 10)
@@ -282,28 +275,14 @@ func pushAllLateOneShot() scenario.Spec {
 }
 
 func runAblationZeroBuf(p Params) []*stats.Table {
-	lat := stats.NewTable(
-		"Ablation: intranode latency, zero buffer vs shared-segment double copy",
-		"size(B)", "single-trip µs, middle-80% mean")
-	bw := stats.NewTable(
-		"Ablation: intranode bandwidth, zero buffer vs shared-segment double copy",
-		"size(B)", "MB/s")
-	for _, zero := range []bool{true, false} {
-		label := "double-copy"
-		if zero {
-			label = "zero-buffer"
-		}
-		sl := lat.AddSeries(label)
-		sb := bw.AddSeries(label)
-		for _, n := range []int{1000, 4000, 8192, 16384} {
-			s := intranode(testbed(n, p.per(2)))
-			s.Protocol.DisableZeroBuffer = !zero
-			s.Protocol.PushedBufBytes = 64 << 10
-			sl.Add(float64(n), Latency(s).TrimmedMean)
-			sb.Add(float64(n), Bandwidth(s))
-		}
+	sw := sweep("ablation-zerobuf")
+	sw.Base.Traffic.Messages = p.per(2)
+	return []*stats.Table{
+		Table(sw, "Ablation: intranode latency, zero buffer vs shared-segment double copy",
+			"size(B)", "single-trip µs, middle-80% mean", trimmedMean),
+		Table(sw, "Ablation: intranode bandwidth, zero buffer vs shared-segment double copy",
+			"size(B)", "MB/s", bandwidth),
 	}
-	return []*stats.Table{lat, bw}
 }
 
 // runAblationPullCPU measures how much a co-scheduled computation slows
@@ -357,15 +336,8 @@ func runAblationPullCPU(p Params) []*stats.Table {
 // NICs per node, demonstrating the §6 extension: fragments stripe across
 // rails, so aggregate bandwidth approaches rails x 12.1 MB/s.
 func runMultiRail(p Params) []*stats.Table {
-	tab := stats.NewTable(
-		"Extension: internode bandwidth vs NIC rails (64 KB messages)",
-		"rails", "MB/s")
-	s := tab.AddSeries("push-pull")
-	for rails := 1; rails <= 4; rails++ {
-		spec := testbed(64<<10, p.per(20))
-		spec.Protocol.PushedBufBytes = 64 << 10
-		spec.Topology.Rails = rails
-		s.Add(float64(rails), Bandwidth(spec))
-	}
-	return []*stats.Table{tab}
+	sw := sweep("multirail")
+	sw.Base.Traffic.Messages = p.per(20)
+	return []*stats.Table{Table(sw, "Extension: internode bandwidth vs NIC rails (64 KB messages)",
+		"rails", "MB/s", bandwidth, "push-pull")}
 }

@@ -6,6 +6,7 @@ package bench
 // through cmd/pushpull-bench.
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"pushpull/coll"
@@ -18,81 +19,46 @@ import (
 	"pushpull/internal/stats"
 )
 
-// lossRates swept by the damaged-cable ablation.
-var lossRates = []float64{0, 0.0001, 0.001, 0.01, 0.05}
-
 func runAblationLoss(p Params) []*stats.Table {
-	iters := min(p.Iters, 300) // every recovery costs an RTO of virtual time
-	lossy := func(size int, rate float64) scenario.Spec {
-		s := testbed(size, iters)
-		s.Protocol.RTOMs = 2
-		s.Topology.LossRate = rate
-		return s
-	}
-
-	lat := stats.NewTable(
-		"Frame loss ablation: 1400 B internode single-trip latency vs loss rate (RTO 2 ms)",
-		"loss(%)", "single-trip µs")
-	trimmed := lat.AddSeries("middle-80% mean")
-	plain := lat.AddSeries("plain mean")
-	for _, rate := range lossRates {
-		sum := Latency(lossy(1400, rate))
-		trimmed.Add(rate*100, sum.TrimmedMean)
-		plain.Add(rate*100, sum.Mean)
-	}
+	sw := sweep("ablation-loss")
+	sw.Base.Traffic.Messages = min(p.Iters, 300) // every recovery costs an RTO of virtual time
+	// Both estimators read the same run of each point.
+	lat := Table(sw, "Frame loss ablation: 1400 B internode single-trip latency vs loss rate (RTO 2 ms)",
+		"loss(%)", "single-trip µs", func(s scenario.Spec) []float64 {
+			sum := Latency(s)
+			return []float64{sum.TrimmedMean, sum.Mean}
+		}, "middle-80% mean", "plain mean")
 	lat.Comment = "the paper's trimmed estimator hides rare recoveries at low loss rates; the plain mean exposes them"
 
-	bw := stats.NewTable(
-		"Frame loss ablation: 8192 B internode bandwidth vs loss rate (RTO 2 ms)",
-		"loss(%)", "MB/s")
-	s := bw.AddSeries("push-pull full-opt")
-	for _, rate := range lossRates {
-		s.Add(rate*100, Bandwidth(lossy(8192, rate)))
-	}
+	sw.Base.Traffic.Size = 8192
+	bw := Table(sw, "Frame loss ablation: 8192 B internode bandwidth vs loss rate (RTO 2 ms)",
+		"loss(%)", "MB/s", bandwidth, "push-pull full-opt")
 	return []*stats.Table{lat, bw}
 }
 
 // runHub compares the back-to-back testbed with a switch and a
 // shared-medium hub.
 func runHub(p Params) []*stats.Table {
-	kinds := []struct{ label, kind string }{
-		{"back-to-back", "back-to-back"},
-		{"switch", "switch"},
-		{"hub (half-duplex)", "hub"},
-	}
-	on := func(kind string, size int) scenario.Spec {
-		s := testbed(size, p.Iters)
-		s.Topology.Kind = kind
-		return s
-	}
+	sw := sweep("hub")
+	sw.Base.Traffic.Messages = p.Iters
+	lat := Table(sw, "Topology ablation: internode single-trip latency",
+		"size(B)", "single-trip µs, middle-80% mean", trimmedMean)
 
-	lat := stats.NewTable(
-		"Topology ablation: internode single-trip latency",
-		"size(B)", "single-trip µs, middle-80% mean")
-	for _, k := range kinds {
-		s := lat.AddSeries(k.label)
-		for _, n := range []int{4, 760, 1400, 4096, 8192} {
-			s.Add(float64(n), Latency(on(k.kind, n)).TrimmedMean)
-		}
-	}
-
-	bw := stats.NewTable(
-		"Topology ablation: internode bandwidth (data and acks share the hub's one wire)",
-		"size(B)", "MB/s")
-	for _, k := range kinds {
-		s := bw.AddSeries(k.label)
-		for _, n := range []int{1400, 8192} {
-			s.Add(float64(n), Bandwidth(on(k.kind, n)))
-		}
-	}
+	sizes := &sw.Grid.Axes[1]
+	sizes.Values = []json.RawMessage{json.RawMessage("1400"), json.RawMessage("8192")}
+	bw := Table(sw, "Topology ablation: internode bandwidth (data and acks share the hub's one wire)",
+		"size(B)", "MB/s", bandwidth)
 	bw.Comment = "the testbed (and every serious COMP of the era) used a switch or back-to-back cabling; the hub shows why"
 
 	jit := stats.NewTable(
 		"Topology ablation: 8192 B latency distribution (contention jitter the trimmed mean hides)",
 		"percentile", "single-trip µs")
-	for _, k := range kinds {
-		s := jit.AddSeries(k.label)
-		q := stats.QuantileSummary(run(on(k.kind, 8192), scenario.KeepSamples()).Samples)
+	sizes.Values = sizes.Values[1:] // 8192 B only
+	points, err := sw.Expand()
+	must(err)
+	for i, pt := range points {
+		s := jit.AddSeries(sw.Grid.Axes[0].Label(i))
+		q := stats.QuantileSummary(run(pt.Spec, scenario.KeepSamples()).Samples)
 		s.Add(50, q.P50)
 		s.Add(90, q.P90)
 		s.Add(99, q.P99)
@@ -107,10 +73,7 @@ func runHub(p Params) []*stats.Table {
 // (late phase), then posts its receive — so the lateness is a constant
 // phase offset, not a drifting queue.
 func adaptivePhases(p Params, adaptive bool) (early, late float64, wasted uint64, finalBTP int) {
-	iters := p.Iters
-	if iters > 200 {
-		iters = 200
-	}
+	iters := min(p.Iters, 200)
 	cfg := cluster.DefaultConfig()
 	cfg.Opts.PushedBufBytes = 2048 // one ring slot: a late 2-fragment push overflows
 	c := cluster.New(cfg)
@@ -198,10 +161,7 @@ func runAdaptive(p Params) []*stats.Table {
 // runCollective measures allreduce at the application layer across
 // messaging modes on a four-node COMP.
 func runCollective(p Params) []*stats.Table {
-	iters := p.Iters
-	if iters > 50 {
-		iters = 50 // each iteration is a full collective on 4 nodes
-	}
+	iters := min(p.Iters, 50) // each iteration is a full collective on 4 nodes
 	tab := stats.NewTable(
 		"Collective layer: 4-node allreduce (recursive doubling) vs vector size",
 		"vector(B)", "µs per allreduce, mean over iterations")
@@ -209,52 +169,44 @@ func runCollective(p Params) []*stats.Table {
 	for _, mode := range modes {
 		s := tab.AddSeries(mode.String())
 		for _, vec := range []int{64, 1024, 8192} {
-			cfg := cluster.DefaultConfig()
-			cfg.Nodes = 4
-			cfg.Opts.Mode = mode
-			cfg.Opts.PushedBufBytes = 64 << 10
-			w := coll.NewWorld(cluster.New(cfg))
-			var start, end sim.Time
-			vecBytes := vec
-			w.Run(func(r *coll.Rank) {
-				data := make([]byte, vecBytes)
-				for i := range data {
-					data[i] = byte(r.ID() + i)
-				}
-				r.Barrier()
-				if r.ID() == 0 {
-					start = r.Thread().Now()
-				}
-				for i := 0; i < iters; i++ {
-					r.AllReduce(data, coll.XorBytes, coll.WithAlgorithm(coll.RecursiveDoubling))
-				}
-				r.Barrier()
-				if r.ID() == 0 {
-					end = r.Thread().Now()
-				}
+			perOp, _ := timedCollective(comp(4, mode, false), iters, func(r *coll.Rank) {
+				r.AllReduce(rankVector(r, vec), coll.XorBytes, coll.WithAlgorithm(coll.RecursiveDoubling))
 			})
-			s.Add(float64(vec), end.Sub(start).Microseconds()/float64(iters))
+			s.Add(float64(vec), perOp)
 		}
 	}
 	tab.Comment = "collective steps are the §5.3 early/late races; push-all is fastest at every size and push-pull matches it at 64 B, beating push-zero and three-phase up to 1 KB, but at 8 KB push-pull is the slowest of the four"
 	return []*stats.Table{tab}
 }
 
-// LongVectorCollective runs iters of body on a fresh ranks-node
-// switched COMP and reports the mean per-op virtual time plus the
-// busiest node's transmitted wire bytes per op — the volume metric the
-// bandwidth-optimal schedules are judged by (a balanced schedule has no
-// hot node; a rooted tree concentrates full vectors on the root). The
-// longvector experiment and TestLongVectorAlgorithmsWin share it.
-func LongVectorCollective(ranks, iters int, body func(r *coll.Rank)) (perOp, maxTxPerOp float64) {
+// comp is the COMP of the collective experiments: nodes one-process
+// nodes running mode with 64 KB pushed buffers, joined by a switch when
+// switched.
+func comp(nodes int, mode pushpull.Mode, switched bool) cluster.Config {
 	cfg := cluster.DefaultConfig()
-	cfg.Nodes = ranks
-	cfg.UseSwitch = true
+	cfg.Nodes, cfg.UseSwitch = nodes, switched
+	cfg.Opts.Mode = mode
 	cfg.Opts.PushedBufBytes = 64 << 10
+	return cfg
+}
+
+// rankVector is rank r's n-byte allreduce contribution.
+func rankVector(r *coll.Rank, n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(r.ID() + i)
+	}
+	return data
+}
+
+// timedCollective runs iters of body on every rank of a fresh cluster
+// built from cfg, between two barriers, and reports rank 0's mean
+// virtual time per op in µs plus the busiest node's transmitted wire
+// bytes per op.
+func timedCollective(cfg cluster.Config, iters int, body func(r *coll.Rank)) (perOp, maxTxPerOp float64) {
 	c := cluster.New(cfg)
-	w := coll.NewWorld(c)
 	var start, end sim.Time
-	w.Run(func(r *coll.Rank) {
+	coll.NewWorld(c).Run(func(r *coll.Rank) {
 		r.Barrier()
 		if r.ID() == 0 {
 			start = r.Thread().Now()
@@ -276,15 +228,21 @@ func LongVectorCollective(ranks, iters int, body func(r *coll.Rank)) (perOp, max
 	return end.Sub(start).Microseconds() / float64(iters), float64(maxTx) / float64(iters)
 }
 
+// LongVectorCollective is timedCollective on a fresh ranks-node
+// switched COMP. The hottest node's wire volume is what the
+// bandwidth-optimal schedules are judged by: a balanced schedule has no
+// hot node, while a rooted tree concentrates full vectors on the root.
+// The longvector experiment and TestLongVectorAlgorithmsWin share it.
+func LongVectorCollective(ranks, iters int, body func(r *coll.Rank)) (perOp, maxTxPerOp float64) {
+	return timedCollective(comp(ranks, pushpull.PushPull, true), iters, body)
+}
+
 // runLongVector characterizes the long-vector algorithms: the segmented
 // ring Bcast (pipelined chain) against the plain store-and-forward
 // ring, and the reduce-scatter + allgather AllReduce against the
 // rooted tree, on an eight-node switched COMP.
 func runLongVector(p Params) []*stats.Table {
-	iters := p.Iters
-	if iters > 10 {
-		iters = 10 // every iteration moves hundreds of KB through the switch
-	}
+	iters := min(p.Iters, 10) // every iteration moves hundreds of KB through the switch
 	const ranks = 8
 	sizes := []int{16 << 10, 64 << 10, 256 << 10}
 
@@ -331,11 +289,7 @@ func runLongVector(p Params) []*stats.Table {
 		for _, n := range sizes {
 			alg := v.alg
 			perOp, maxTx := LongVectorCollective(ranks, iters, func(r *coll.Rank) {
-				data := make([]byte, n)
-				for i := range data {
-					data[i] = byte(r.ID() + i)
-				}
-				r.AllReduce(data, coll.XorBytes, coll.WithAlgorithm(alg))
+				r.AllReduce(rankVector(r, n), coll.XorBytes, coll.WithAlgorithm(alg))
 			})
 			st.Add(float64(n), perOp)
 			sv.Add(float64(n), maxTx)
@@ -348,38 +302,17 @@ func runLongVector(p Params) []*stats.Table {
 // runScale measures an 8 KB ring allgather while the COMP grows — the
 // multi-node scalability the paper's conclusion reaches toward.
 func runScale(p Params) []*stats.Table {
-	iters := p.Iters
-	if iters > 30 {
-		iters = 30
-	}
+	iters := min(p.Iters, 30)
 	tab := stats.NewTable(
 		"Scalability: 8 KB-per-rank ring allgather vs node count (store-and-forward switch)",
 		"nodes", "µs per allgather, mean over iterations")
 	for _, mode := range []pushpull.Mode{pushpull.PushPull, pushpull.PushAll} {
 		s := tab.AddSeries(mode.String())
 		for _, nodes := range []int{2, 3, 4, 6} {
-			cfg := cluster.DefaultConfig()
-			cfg.Nodes = nodes
-			cfg.UseSwitch = true
-			cfg.Opts.Mode = mode
-			cfg.Opts.PushedBufBytes = 64 << 10
-			w := coll.NewWorld(cluster.New(cfg))
-			var start, end sim.Time
-			w.Run(func(r *coll.Rank) {
-				data := make([]byte, 8192)
-				r.Barrier()
-				if r.ID() == 0 {
-					start = r.Thread().Now()
-				}
-				for i := 0; i < iters; i++ {
-					r.AllGather(data, 8192)
-				}
-				r.Barrier()
-				if r.ID() == 0 {
-					end = r.Thread().Now()
-				}
+			perOp, _ := timedCollective(comp(nodes, mode, true), iters, func(r *coll.Rank) {
+				r.AllGather(make([]byte, 8192), 8192)
 			})
-			s.Add(float64(nodes), end.Sub(start).Microseconds()/float64(iters))
+			s.Add(float64(nodes), perOp)
 		}
 	}
 	tab.Comment = "ring steps grow linearly with nodes; each step is bounded by the 100 Mbit/s wire, so the curve is near-linear until switch queues contend"

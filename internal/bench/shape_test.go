@@ -154,7 +154,7 @@ func TestFig6LateShape(t *testing.T) {
 }
 
 func TestBTP2SweepShape(t *testing.T) {
-	tab := runBTP2(quickParams)[0]
+	tab := experimentTables(t, "btp2", quickParams)[0]
 	s := seriesByLabel(t, tab, "push-pull")
 	// Pushing more in the overlapped second fragment must help a lot at
 	// first (paper: "the overall latency could be shortened as the value
@@ -176,7 +176,7 @@ func TestBTP2SweepShape(t *testing.T) {
 }
 
 func TestBTP1SweepShape(t *testing.T) {
-	tab := runBTP1(quickParams)[0]
+	tab := experimentTables(t, "btp1", quickParams)[0]
 	s := seriesByLabel(t, tab, "push-pull")
 	// Paper: a modest first push helps ("when the value was smaller than
 	// the threshold value, the latency would actually decrease").
@@ -289,11 +289,7 @@ func TestLongVectorAlgorithmsWin(t *testing.T) {
 
 	allreduce := func(alg coll.Algorithm) (float64, float64) {
 		return LongVectorCollective(8, 3, func(r *coll.Rank) {
-			vec := make([]byte, longVecBytes)
-			for j := range vec {
-				vec[j] = byte(r.ID() + j)
-			}
-			r.AllReduce(vec, coll.XorBytes, coll.WithAlgorithm(alg))
+			r.AllReduce(rankVector(r, longVecBytes), coll.XorBytes, coll.WithAlgorithm(alg))
 		})
 	}
 	treeUS, treeVol := allreduce(coll.Tree)
@@ -303,5 +299,69 @@ func TestLongVectorAlgorithmsWin(t *testing.T) {
 	}
 	if rsagUS >= treeUS {
 		t.Errorf("rs-ag %.1f µs/op, tree %.1f µs/op — bandwidth optimality lost", rsagUS, treeUS)
+	}
+}
+
+func TestLossAblationShape(t *testing.T) {
+	tabs := runAblationLoss(quickParams)
+	trimmed := seriesByLabel(t, tabs[0], "middle-80% mean")
+	plain := seriesByLabel(t, tabs[0], "plain mean")
+	// The trimmed estimator drops the rare RTO recoveries the plain
+	// mean keeps, so it can only read lower.
+	for _, pt := range trimmed.Points {
+		if plain.Y(pt.X) < pt.Y {
+			t.Errorf("at %g%% loss the plain mean (%.2f) is below the trimmed mean (%.2f)", pt.X, plain.Y(pt.X), pt.Y)
+		}
+	}
+	bw := seriesByLabel(t, tabs[1], "push-pull full-opt")
+	if bw.Y(5) >= bw.Y(0) {
+		t.Errorf("bandwidth at 5%% loss (%.2f MB/s) should fall below the clean wire's (%.2f)", bw.Y(5), bw.Y(0))
+	}
+}
+
+func TestHubAblationShape(t *testing.T) {
+	tabs := runHub(quickParams)
+	bw := tabs[1]
+	if hub, b2b := seriesByLabel(t, bw, "hub (half-duplex)").Y(8192), seriesByLabel(t, bw, "back-to-back").Y(8192); hub >= b2b {
+		t.Errorf("hub 8192 B bandwidth (%.2f MB/s) should fall below back-to-back (%.2f)", hub, b2b)
+	}
+	// Data and acks collide on the hub's one wire, so its latency
+	// spreads; the back-to-back cable has no contention at all.
+	jit := tabs[2]
+	if hub := seriesByLabel(t, jit, "hub (half-duplex)"); hub.Y(99) <= hub.Y(50) {
+		t.Errorf("hub p99 (%.2f) should exceed its p50 (%.2f)", hub.Y(99), hub.Y(50))
+	}
+	if b2b := seriesByLabel(t, jit, "back-to-back"); b2b.Y(99) != b2b.Y(50) {
+		t.Errorf("back-to-back p99 (%.2f) should equal its p50 (%.2f)", b2b.Y(99), b2b.Y(50))
+	}
+}
+
+func TestScaleShape(t *testing.T) {
+	tab := runScale(quickParams)[0]
+	for _, s := range tab.Series {
+		for i := 1; i < len(s.Points); i++ {
+			if prev, pt := s.Points[i-1], s.Points[i]; pt.Y <= prev.Y {
+				t.Errorf("%s: %g nodes take %.2f µs per allgather, not more than %g nodes' %.2f",
+					s.Label, pt.X, pt.Y, prev.X, prev.Y)
+			}
+		}
+	}
+}
+
+func TestCollectiveShape(t *testing.T) {
+	tab := runCollective(quickParams)[0]
+	pull := seriesByLabel(t, tab, "push-pull").Y(64)
+	for _, label := range []string{"push-zero", "three-phase"} {
+		if v := seriesByLabel(t, tab, label).Y(64); v <= pull {
+			t.Errorf("at 64 B %s (%.2f µs) should be slower than push-pull (%.2f)", label, v, pull)
+		}
+	}
+}
+
+func TestAdaptiveDiscardsLess(t *testing.T) {
+	_, _, static, _ := adaptivePhases(quickParams, false)
+	_, _, adaptive, _ := adaptivePhases(quickParams, true)
+	if adaptive >= static {
+		t.Errorf("AIMD discarded %d B of pushes, the static BTP %d B; the controller should waste less", adaptive, static)
 	}
 }

@@ -1,11 +1,12 @@
 package scenario
 
-// figureSweeps returns the paper's latency curves (§5) and the
-// single-variable ablations as builtin sweeps. Each is a base spec plus
-// a series axis (when the figure has several curves) and an x axis
-// whose labels are numbers, so internal/bench can turn the sweep result
-// into its table. Message counts are the ones each figure uses at the
-// paper's 1000 iterations.
+// figureSweeps returns the grids behind the paper's evaluation (§5) and
+// the ablations as builtin sweeps: the latency curves, and the grids
+// whose tables also derive bandwidth from each point. Each is a base
+// spec plus a series axis (when the figure has several curves) and an x
+// axis whose labels are numbers, so internal/bench can lay each point's
+// value out as its table. Message counts are the ones each figure uses
+// at the paper's 1000 iterations.
 func figureSweeps() []Sweep {
 	figure := func(name, desc string, messages int) Sweep {
 		sw := Sweep{Name: name, Description: desc, Base: DefaultSpec()}
@@ -114,5 +115,35 @@ func figureSweeps() []Sweep {
 		sizes(16<<10, 64<<10, 256<<10),
 	}
 
-	return []Sweep{fig3, fig4, fig6Early, fig6Late, btp2, btp1, interrupt, trigger, polling, threePhase, longVector}
+	zeroBuf := figure("ablation-zerobuf", "Ablation: intranode zero buffer vs shared-segment double copy, pushed buffer 64 KB", 500)
+	zeroBuf.Base.Topology = fig3.Base.Topology
+	zeroBuf.Base.Protocol.PushedBufBytes = 64 << 10
+	zeroBuf.Grid.Axes = []Axis{
+		{Key: "copy", Field: "protocol.disableZeroBuffer", Values: values(false, true),
+			Labels: []string{"zero-buffer", "double-copy"}},
+		sizes(1000, 4000, 8192, 16384),
+	}
+
+	// Fragments stripe across the rails (the §6 outlook).
+	multiRail := figure("multirail", "Extension: internode 64 KB messages vs NIC rails per node", 50)
+	multiRail.Base.Protocol.PushedBufBytes = 64 << 10
+	multiRail.Base.Traffic.Size = 64 << 10
+	multiRail.Grid.Axes = []Axis{{Key: "rails", Field: "topology.rails", Values: values(1, 2, 3, 4)}}
+
+	// Every recovery costs an RTO of virtual time, hence the short RTO
+	// and the 300 messages. The labels are percent.
+	loss := figure("ablation-loss", "Ablation: internode 1400 B ping-pong vs frame loss rate (RTO 2 ms)", 300)
+	loss.Base.Protocol.RTOMs = 2
+	loss.Grid.Axes = []Axis{{Key: "loss", Field: "topology.lossRate", Values: values(0, 0.0001, 0.001, 0.01, 0.05),
+		Labels: []string{"0", "0.01", "0.1", "1", "5"}}}
+
+	hub := figure("hub", "Ablation: internode ping-pong on back-to-back cabling, a switch and a shared-medium hub", 1000)
+	hub.Grid.Axes = []Axis{
+		{Key: "fabric", Field: "topology.kind", Values: values("back-to-back", "switch", "hub"),
+			Labels: []string{"back-to-back", "switch", "hub (half-duplex)"}},
+		sizes(4, 760, 1400, 4096, 8192),
+	}
+
+	return []Sweep{fig3, fig4, fig6Early, fig6Late, btp2, btp1, interrupt, trigger, polling, threePhase, longVector,
+		zeroBuf, multiRail, loss, hub}
 }
