@@ -165,8 +165,7 @@ func runCollective(p Params) []*stats.Table {
 	tab := stats.NewTable(
 		"Collective layer: 4-node allreduce (recursive doubling) vs vector size",
 		"vector(B)", "µs per allreduce, mean over iterations")
-	modes := []pushpull.Mode{pushpull.PushPull, pushpull.PushZero, pushpull.PushAll, pushpull.ThreePhase}
-	for _, mode := range modes {
+	for _, mode := range []pushpull.Mode{pushpull.PushPull, pushpull.PushZero, pushpull.PushAll, pushpull.ThreePhase} {
 		s := tab.AddSeries(mode.String())
 		for _, vec := range []int{64, 1024, 8192} {
 			perOp, _ := timedCollective(comp(4, mode, false), iters, func(r *coll.Rank) {
@@ -245,56 +244,57 @@ func runLongVector(p Params) []*stats.Table {
 	iters := min(p.Iters, 10) // every iteration moves hundreds of KB through the switch
 	const ranks = 8
 	sizes := []int{16 << 10, 64 << 10, 256 << 10}
+	bcast := func(opts ...coll.Opt) func(r *coll.Rank, n int) {
+		return func(r *coll.Rank, n int) {
+			var src []byte
+			if r.ID() == 0 {
+				src = make([]byte, n)
+			}
+			r.Bcast(0, src, n, opts...)
+		}
+	}
+	allreduce := func(alg coll.Algorithm) func(r *coll.Rank, n int) {
+		return func(r *coll.Rank, n int) { r.AllReduce(rankVector(r, n), coll.XorBytes, coll.WithAlgorithm(alg)) }
+	}
+	variants := []struct {
+		label string
+		body  func(r *coll.Rank, n int)
+	}{
+		{"ring (store-and-forward)", bcast(coll.WithAlgorithm(coll.Ring))},
+		{"ring-seg (8 KiB segments)", bcast(coll.WithAlgorithm(coll.RingSegmented), coll.WithSegment(8192))},
+		{"tree (reduce+bcast)", allreduce(coll.Tree)},
+		{"rs-ag (reduce-scatter+allgather)", allreduce(coll.RSAG)},
+	}
+	// This is the longest experiment and the last one listed, so it
+	// runs its independent cells across the pool, as Table runs sweep
+	// points; run serially it leaves the other workers idle at the end.
+	perOp := make([]float64, len(variants)*len(sizes))
+	maxTx := make([]float64, len(perOp))
+	scenario.ParallelFor(len(perOp), 0, func(i int) {
+		v, n := variants[i/len(sizes)], sizes[i%len(sizes)]
+		perOp[i], maxTx[i] = LongVectorCollective(ranks, iters, func(r *coll.Rank) { v.body(r, n) })
+	})
+	// table adds variants from and from+1 to tab, read from vals.
+	table := func(tab *stats.Table, vals []float64, from int) *stats.Table {
+		for k := from; k < from+2; k++ {
+			s := tab.AddSeries(variants[k].label)
+			for j, n := range sizes {
+				s.Add(float64(n), vals[k*len(sizes)+j])
+			}
+		}
+		return tab
+	}
 
-	bc := stats.NewTable(
+	bc := table(stats.NewTable(
 		"Long-vector Bcast on 8 switched ranks: store-and-forward ring vs segmented (pipelined) ring",
-		"vector(B)", "µs per bcast, mean over iterations")
-	for _, v := range []struct {
-		label string
-		opts  []coll.Opt
-	}{
-		{"ring (store-and-forward)", []coll.Opt{coll.WithAlgorithm(coll.Ring)}},
-		{"ring-seg (8 KiB segments)", []coll.Opt{coll.WithAlgorithm(coll.RingSegmented), coll.WithSegment(8192)}},
-	} {
-		s := bc.AddSeries(v.label)
-		for _, n := range sizes {
-			data := make([]byte, n)
-			perOp, _ := LongVectorCollective(ranks, iters, func(r *coll.Rank) {
-				var src []byte
-				if r.ID() == 0 {
-					src = data
-				}
-				r.Bcast(0, src, n, v.opts...)
-			})
-			s.Add(float64(n), perOp)
-		}
-	}
+		"vector(B)", "µs per bcast, mean over iterations"), perOp, 0)
 	bc.Comment = "segmentation keeps all 7 links busy at once: completion ~T(n) + 6·T(seg) instead of 7·T(n)"
-
-	art := stats.NewTable(
+	art := table(stats.NewTable(
 		"Long-vector AllReduce on 8 switched ranks: rooted tree vs reduce-scatter + allgather",
-		"vector(B)", "µs per allreduce, mean over iterations")
-	arv := stats.NewTable(
+		"vector(B)", "µs per allreduce, mean over iterations"), perOp, 2)
+	arv := table(stats.NewTable(
 		"Long-vector AllReduce volume: busiest node's transmitted wire bytes per operation",
-		"vector(B)", "B per op at the hottest NIC")
-	for _, v := range []struct {
-		label string
-		alg   coll.Algorithm
-	}{
-		{"tree (reduce+bcast)", coll.Tree},
-		{"rs-ag (reduce-scatter+allgather)", coll.RSAG},
-	} {
-		st := art.AddSeries(v.label)
-		sv := arv.AddSeries(v.label)
-		for _, n := range sizes {
-			alg := v.alg
-			perOp, maxTx := LongVectorCollective(ranks, iters, func(r *coll.Rank) {
-				r.AllReduce(rankVector(r, n), coll.XorBytes, coll.WithAlgorithm(alg))
-			})
-			st.Add(float64(n), perOp)
-			sv.Add(float64(n), maxTx)
-		}
-	}
+		"vector(B)", "B per op at the hottest NIC"), maxTx, 2)
 	arv.Comment = "the tree's root moves ⌈log2 n⌉ full vectors each way; rs-ag moves 2·(n-1)/n of one vector per rank, evenly"
 	return []*stats.Table{bc, art, arv}
 }
