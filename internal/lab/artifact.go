@@ -50,10 +50,10 @@ type JobResult struct {
 	Job    string `json:"job"`
 	Kind   string `json:"kind"`
 	Target string `json:"target"`
-	// Units counts what ran: scenario repetitions, sweep points, or
-	// bench tables. Failed counts units that errored; their error
-	// strings are folded into the digest so a failing study cannot
-	// masquerade as a passing one.
+	// Units counts what ran: scenario repetitions or sweep points.
+	// Failed counts units that errored; their error strings are folded
+	// into the digest so a failing study cannot masquerade as a passing
+	// one.
 	Units  int `json:"units"`
 	Failed int `json:"failed,omitempty"`
 	// Runs itemizes scenario repetitions (seed, digest, virtual time);
