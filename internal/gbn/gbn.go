@@ -376,35 +376,55 @@ type Receiver struct {
 	duplicates uint64
 }
 
-// NewReceiver creates the receiving half of a session.
+// NewReceiver creates the receiving half of a session. deliver may be
+// nil for a receiver driven only through Classify and Commit.
 func NewReceiver(deliver func(Packet) bool, sendAck func(uint32)) *Receiver {
 	return &Receiver{deliver: deliver, sendAck: sendAck}
 }
 
-// OnPacket processes an arriving data packet.
+// OnPacket processes an arriving data packet: an in-order one goes to
+// deliver, which settles it inline.
 func (r *Receiver) OnPacket(pkt Packet) {
+	if r.Classify(pkt) {
+		r.Commit(r.deliver(pkt))
+	}
+}
+
+// Classify is OnPacket's first half, for an upper layer that cannot
+// settle a packet inline (a handler that parks while it delivers). It
+// reports whether pkt is the next in-order packet; the caller then
+// delivers it and reports the outcome with Commit before it classifies
+// another packet. A duplicate or a gap is settled at once: it is counted
+// and the cumulative ack re-asserted, and Classify reports false.
+func (r *Receiver) Classify(pkt Packet) bool {
 	switch {
 	case pkt.Seq == r.expected:
-		if r.deliver(pkt) {
-			r.expected++
-			r.delivered++
-			r.sendAck(r.expected)
-		} else {
-			// Upper layer has no buffer: behave as if the packet was
-			// lost. No ack; the sender's timer recovers.
-			r.rejected++
-		}
+		return true
 	case pkt.Seq < r.expected:
 		// Duplicate of something already delivered (a retransmission
 		// after a lost ack): re-acknowledge so the sender advances.
 		r.duplicates++
-		r.sendAck(r.expected)
 	default:
 		// Gap: an earlier packet was lost. Go-back-N discards and
 		// re-asserts the cumulative ack.
 		r.outOfOrder++
-		r.sendAck(r.expected)
 	}
+	r.sendAck(r.expected)
+	return false
+}
+
+// Commit settles the in-order packet Classify passed up. ok acknowledges
+// it. !ok means the upper layer had no buffer: the packet is counted
+// rejected and not acknowledged, as if it was lost, and the sender's
+// timer recovers it.
+func (r *Receiver) Commit(ok bool) {
+	if !ok {
+		r.rejected++
+		return
+	}
+	r.expected++
+	r.delivered++
+	r.sendAck(r.expected)
 }
 
 // Expected reports the next in-order sequence number.

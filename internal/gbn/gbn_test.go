@@ -1,6 +1,7 @@
 package gbn
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -329,6 +330,70 @@ func TestReceiverCounters(t *testing.T) {
 	}
 	if acks != 3 {
 		t.Errorf("acks = %d, want 3 (every packet acked or re-acked)", acks)
+	}
+}
+
+// TestClassifyCommitMatchesOnPacket: a receiver driven through Classify
+// and Commit acknowledges exactly as one driven through OnPacket, for
+// in-order packets the upper layer takes or rejects, duplicates and
+// gaps, and ends with the same counters.
+func TestClassifyCommitMatchesOnPacket(t *testing.T) {
+	type arrival struct {
+		seq    uint32
+		accept bool // the upper layer's verdict, if the packet is in order
+	}
+	arrivals := []arrival{
+		{0, true},  // in order: delivered, ack 1
+		{0, true},  // duplicate: re-ack 1
+		{3, true},  // gap: re-ack 1
+		{1, false}, // in order but rejected: no ack
+		{2, true},  // gap behind the rejected packet: re-ack 1
+		{1, true},  // the retransmission is taken: ack 2
+		{2, true},  // ack 3
+		{1, true},  // duplicate: re-ack 3
+	}
+	wantAcks := []uint32{1, 1, 1, 1, 2, 3, 3}
+	run := func(split bool) (acks []uint32, r *Receiver) {
+		var verdict bool
+		r = NewReceiver(func(Packet) bool { return verdict }, func(a uint32) { acks = append(acks, a) })
+		for _, a := range arrivals {
+			verdict = a.accept
+			pkt := Packet{Seq: a.seq}
+			if !split {
+				r.OnPacket(pkt)
+			} else if r.Classify(pkt) {
+				r.Commit(a.accept)
+			}
+		}
+		return acks, r
+	}
+	onPacket, whole := run(false)
+	split, parts := run(true)
+	if fmt.Sprint(onPacket) != fmt.Sprint(wantAcks) || fmt.Sprint(split) != fmt.Sprint(wantAcks) {
+		t.Fatalf("acks: OnPacket %v, Classify/Commit %v, want %v", onPacket, split, wantAcks)
+	}
+	for _, r := range []*Receiver{whole, parts} {
+		if r.Expected() != 3 || r.Delivered() != 3 || r.Rejected() != 1 || r.Duplicates() != 2 || r.OutOfOrder() != 2 {
+			t.Errorf("counters: expected %d delivered %d rejected %d dup %d ooo %d, want 3 3 1 2 2",
+				r.Expected(), r.Delivered(), r.Rejected(), r.Duplicates(), r.OutOfOrder())
+		}
+	}
+}
+
+// TestClassifyLeavesInOrderPacketOpen: Classify acknowledges nothing for
+// an in-order packet and does not advance the window; only Commit does.
+func TestClassifyLeavesInOrderPacketOpen(t *testing.T) {
+	var acks []uint32
+	r := NewReceiver(nil, func(a uint32) { acks = append(acks, a) })
+	if !r.Classify(Packet{Seq: 0}) {
+		t.Fatal("Classify refused the in-order packet")
+	}
+	if len(acks) != 0 || r.Expected() != 0 || r.Delivered() != 0 {
+		t.Fatalf("Classify settled the packet: acks %v, expected %d, delivered %d", acks, r.Expected(), r.Delivered())
+	}
+	r.Commit(true)
+	if fmt.Sprint(acks) != "[1]" || r.Expected() != 1 || r.Delivered() != 1 {
+		t.Fatalf("after Commit: acks %v, expected %d, delivered %d", acks, r.Expected(), r.Delivered())
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 var poolretainAnalyzer = &Analyzer{
 	Name: "poolretain",
 	Doc: "flag storing a pooled one-shot object (sim event and process " +
-		"carrier, smp irqJob, nic wireTx/rxJob, ether delivery, pushpull " +
-		"txJob) into a struct field, slice, or " +
+		"carrier, smp irqJob and handler Task, nic wireTx/rxJob, ether " +
+		"delivery, pushpull txJob and recvOp) into a struct field, slice, or " +
 		"map after the call that returns it to its free list: the pool " +
 		"will recycle the object and the stale reference aliases a " +
 		"different logical event.",
@@ -29,6 +29,8 @@ var pooledTypeNames = map[string]bool{
 	"rxJob":    true,
 	"delivery": true,
 	"txJob":    true,
+	"Task":     true,
+	"recvOp":   true,
 }
 
 // prKind distinguishes the per-function lifecycle events the analyzer

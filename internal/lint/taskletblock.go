@@ -12,9 +12,11 @@ var taskletblockAnalyzer = &Analyzer{
 	Doc: "flag blocking process-tier primitives (Queue.Get/Put, " +
 		"Resource.Acquire/Use, Cond.Wait, Process.Sleep, Thread.Exec) " +
 		"in functions reachable from an Engine.NewTasklet step " +
-		"registration: tasklet steps run inline in engine context and " +
-		"must use the polling variants " +
-		"(PollGet/PollPut/PollAcquire/Await/TransmitStep).",
+		"registration or from a function taking an smp *Task (a " +
+		"handler body on the tasklet tier): tasklet steps run inline in " +
+		"engine context and must use the polling variants " +
+		"(PollGet/PollPut/PollAcquire/Await/TransmitStep) or the Task's " +
+		"parking operations.",
 	Run: runTaskletblock,
 }
 
@@ -75,7 +77,36 @@ func runTaskletblock(prog *Program) []Finding {
 			})
 		}
 	}
+	// A handler body reaches its Task through a func value or an
+	// interface (RaiseTask, nic.RxHandler), which traversal cannot
+	// follow; every function that takes a *Task runs on the tasklet tier
+	// by construction, so each one is a seed of its own.
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !takesTask(pkg.Info, fd) {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					tb.follow(fn, funcDisplayName(fn))
+				}
+			}
+		}
+	}
 	return tb.fs
+}
+
+// takesTask reports whether fd has a parameter of type *Task.
+func takesTask(info *types.Info, fd *ast.FuncDecl) bool {
+	for _, field := range fd.Type.Params.List {
+		if tv, ok := info.Types[field.Type]; ok {
+			if _, ptr := tv.Type.(*types.Pointer); ptr && namedTypeName(tv.Type) == "Task" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // seedStep resolves the step argument of an Engine.NewTasklet call and

@@ -144,3 +144,54 @@ func (ds *deliveries) deliverClean(d *delivery) int {
 	ds.free = append(ds.free, d)
 	return f
 }
+
+// Task is a local stand-in for smp's pooled handler task, recycled by
+// the interrupt controller when its handler is done.
+type Task struct {
+	body func(*Task) bool
+}
+
+type irqController struct {
+	freeTasks []*Task
+	current   *Task
+}
+
+func (ic *irqController) finish(t *Task) {
+	t.body = nil
+	ic.freeTasks = append(ic.freeTasks, t)
+	ic.current = t // want `after it was released`
+}
+
+// clean: the task is handed back last.
+func (ic *irqController) finishClean(t *Task) {
+	ic.current = nil
+	t.body = nil
+	ic.freeTasks = append(ic.freeTasks, t)
+}
+
+// recvOp is a local stand-in for pushpull's pooled receive operation.
+type recvOp struct {
+	msg *int
+}
+
+type endpoint struct {
+	freeOps []*recvOp
+	pending []*recvOp
+}
+
+func (ep *endpoint) freeRecvOp(op *recvOp) {
+	*op = recvOp{}
+	ep.freeOps = append(ep.freeOps, op)
+}
+
+func (ep *endpoint) retry(op *recvOp) {
+	ep.freeRecvOp(op)
+	ep.pending = append(ep.pending, op) // want `after it was released`
+}
+
+// clean: read the message out, then recycle the op.
+func (ep *endpoint) finishRecv(op *recvOp) *int {
+	m := op.msg
+	ep.freeRecvOp(op)
+	return m
+}

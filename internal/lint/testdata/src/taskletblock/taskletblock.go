@@ -75,3 +75,37 @@ func cleanStep(e *Engine, pm *pump) {
 func processTier(q *Queue, p *Process) int {
 	return q.Get(p)
 }
+
+// Task is a local stand-in for smp's tasklet-tier handler context: a
+// handler body receives it through a func value or an interface, which
+// traversal cannot follow, so every function taking a *Task is a seed.
+type Task struct{}
+
+func (t *Task) Exec(d int) bool { return d > 0 }
+
+type handler struct {
+	p *Process
+	q *Queue
+}
+
+func (h *handler) Step(t *Task) bool {
+	if t.Exec(1) {
+		return false
+	}
+	h.p.Sleep(1) // want `blocking call Process\.Sleep reachable from tasklet "handler\.Step"`
+	return h.deliver(t)
+}
+
+func (h *handler) deliver(t *Task) bool {
+	h.q.Get(h.p) // want `blocking call Queue\.Get`
+	return true
+}
+
+// clean: a Task body that parks through the Task and polls the queue.
+func cleanBody(t *Task, q *Queue) bool {
+	if t.Exec(1) {
+		return false
+	}
+	_, ok := q.PollGet(nil)
+	return ok
+}

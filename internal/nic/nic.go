@@ -72,16 +72,21 @@ type TxRequest struct {
 	Preloaded bool
 }
 
-// NIC is one network interface attached to a node and a link. All three
-// of its actors — the transmit engine, the per-frame wire stage and the
-// receive DMA — run as engine tasklets: resumable state machines
-// dispatched inline, with no goroutine per pump or per frame.
+// NIC is one network interface attached to a node and a link. All of
+// its actors — the transmit engine, the per-frame wire stage, the
+// receive DMA and the receive interrupt handler (unless
+// SetReceiveHandler installs a process-tier one) — run as engine
+// tasklets: resumable state machines dispatched inline, with no
+// goroutine per pump or per frame.
 type NIC struct {
 	node *smp.Node
 	cfg  Config
 	link ether.Medium
 	txQ  *sim.Queue[TxRequest]
-	onRx func(t *smp.Thread, f ether.Frame)
+	// newRx makes each receive record's tasklet-tier handler; onRx is
+	// the process-tier handler, which takes precedence when set.
+	newRx func() RxHandler
+	onRx  func(t *smp.Thread, f ether.Frame)
 
 	// Rec, when set, receives nic-tx / nic-rx / nic-drop trace events.
 	Rec *trace.Recorder
@@ -129,9 +134,27 @@ func New(n *smp.Node, cfg Config) *NIC {
 // link, a switch port's link, or a shared hub.
 func (nc *NIC) AttachLink(l ether.Medium) { nc.link = l }
 
-// SetReceiveHandler registers the protocol entry point invoked (in
-// interrupt or polling context, per the node's policy) for every received
-// frame.
+// RxHandler is a protocol's reception handler on the tasklet tier. The
+// NIC runs it in interrupt or polling context, per the node's policy,
+// after the driver's per-frame processing.
+type RxHandler interface {
+	// Step runs the handler for frame f on t until t parks (false) or
+	// the handler is done with f (true). The first Step after a done one
+	// starts the next frame.
+	Step(t *smp.Task, f ether.Frame) bool
+}
+
+// SetRxHandler registers the protocol entry point for every received
+// frame. newHandler is called once per receive record, when the record
+// is first made, so each handler may keep per-frame state across parks:
+// the record and its handler are recycled together once the handler is
+// done. Call it before traffic flows.
+func (nc *NIC) SetRxHandler(newHandler func() RxHandler) { nc.newRx = newHandler }
+
+// SetReceiveHandler registers a process-tier receive handler, which runs
+// on a goroutine-backed process per frame instead of a task (see
+// smp.InterruptController.Raise). It is kept for the benchmark module's
+// NIC microbenchmark; a NIC with one ignores SetRxHandler.
 func (nc *NIC) SetReceiveHandler(fn func(t *smp.Thread, f ether.Frame)) { nc.onRx = fn }
 
 // Node returns the owning node.
@@ -308,45 +331,70 @@ func (nc *NIC) DeliverFrame(f ether.Frame) {
 		j = &rxJob{nc: nc}
 		j.tk = nc.node.Engine.NewTasklet("nic-rx", j.step)
 		j.handleFn = j.handle
+		j.handleTaskFn = j.handleTask
+		if nc.newRx != nil {
+			j.h = nc.newRx()
+		}
 	}
 	j.frame = f
 	j.tk.Start()
 }
 
 // rxJob DMAs one received frame into the host ring and raises the
-// handler interrupt. It stays out of the pool until its handler has read
-// the frame.
+// handler interrupt. It stays out of the pool until its handler is done
+// with the frame.
 type rxJob struct {
 	nc    *NIC
 	tk    *sim.Tasklet
 	frame ether.Frame
-	pc    int8 // 0 = first bus attempt, 1 = retry, 2 = DMA hold elapsed
-	// handleFn is the bound handle method, created once per record.
-	handleFn func(t *smp.Thread)
+	pc    rxPC
+	// handleFn and handleTaskFn are the bound handle and handleTask
+	// methods, created once per record.
+	handleFn     func(t *smp.Thread)
+	handleTaskFn func(t *smp.Task) bool
+	// h is this record's protocol handler (nil without SetRxHandler).
+	h RxHandler
 }
+
+// rxPC is a receive record's resume point.
+type rxPC int8
+
+const (
+	rxBus      rxPC = iota // first bus attempt
+	rxBusWait              // wake-driven retry of the bus acquisition
+	rxDMADone              // DMA hold elapsed: release the bus, raise
+	rxDriver               // handler: the driver's RxProcess
+	rxRead                 // handler: RxProcess elapsed, frame out of the ring
+	rxProtocol             // handler: the protocol handler runs
+)
 
 func (j *rxJob) step(tk *sim.Tasklet) {
 	nc := j.nc
 	switch j.pc {
-	case 0, 1:
-		if !nc.node.Bus.PollAcquire(tk, j.pc == 0) {
-			j.pc = 1
+	case rxBus, rxBusWait:
+		if !nc.node.Bus.PollAcquire(tk, j.pc == rxBus) {
+			j.pc = rxBusWait
 			return
 		}
-		j.pc = 2
+		j.pc = rxDMADone
 		tk.Sleep(nc.cfg.RxSetup + dmaTime(j.frame.PayloadBytes, nc.cfg.DMABytesPerSec))
-	case 2:
+	case rxDMADone:
 		nc.node.Bus.Release()
 		nc.rxFrames++
 		nc.Rec.Add(tk.Now(), nc.node.ID, trace.KindNICRx, "frame %d->%d %dB in host ring", j.frame.Src, j.frame.Dst, j.frame.PayloadBytes)
-		j.pc = 0
-		nc.node.IRQ.Raise("nic-rx", j.handleFn)
+		if nc.onRx != nil {
+			j.pc = rxBus
+			nc.node.IRQ.Raise("nic-rx", j.handleFn)
+			return
+		}
+		j.pc = rxDriver
+		nc.node.IRQ.RaiseTask("nic-rx", j.handleTaskFn)
 	}
 }
 
-// handle is the receive interrupt handler: driver processing, then the
-// protocol's receive handler. The job returns to the pool once the frame
-// is read out of it.
+// handle is the process-tier receive interrupt handler: driver
+// processing, then the protocol's receive handler. The job returns to
+// the pool once the frame is read out of it.
 func (j *rxJob) handle(t *smp.Thread) {
 	nc := j.nc
 	t.Exec(nc.cfg.RxProcess)
@@ -354,8 +402,32 @@ func (j *rxJob) handle(t *smp.Thread) {
 	f := j.frame
 	j.frame = ether.Frame{}
 	nc.rxPool = append(nc.rxPool, j)
-	if nc.onRx != nil {
-		nc.onRx(t, f)
+	nc.onRx(t, f)
+}
+
+// handleTask is the receive interrupt handler on the tasklet tier:
+// driver processing, then the protocol's handler, stepped until it is
+// done with the frame. Then the job returns to the pool.
+func (j *rxJob) handleTask(t *smp.Task) bool {
+	nc := j.nc
+	for {
+		switch j.pc {
+		case rxDriver:
+			j.pc = rxRead
+			if t.Exec(nc.cfg.RxProcess) {
+				return false
+			}
+		case rxRead:
+			nc.rxInFlight--
+			j.pc = rxProtocol
+		case rxProtocol:
+			if j.h != nil && !j.h.Step(t, j.frame) {
+				return false
+			}
+			j.pc, j.frame = rxBus, ether.Frame{}
+			nc.rxPool = append(nc.rxPool, j)
+			return true
+		}
 	}
 }
 

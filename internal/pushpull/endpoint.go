@@ -31,6 +31,7 @@ type Endpoint struct {
 	ring    *pushedBuffer
 	inbound []*inboundMsg // arrival-ordered incoming messages
 	pending []*recvOp     // registered, unmatched receive operations
+	freeOps []*recvOp     // completed receive ops, for reuse
 	sendOps map[sendKey]*sendOp
 	nextMsg map[ChannelID]uint64
 	// nextLane is the next lane sequence number to assign per outgoing
@@ -146,13 +147,8 @@ func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, buf
 	t.Exec(cfg.CallOverhead)
 	t.Exec(cfg.SyscallEntry)
 
-	op := &recvOp{
-		src:    from,
-		tag:    o.Tag,
-		addr:   addr,
-		bufLen: bufLen,
-		done:   sim.NewCond(ep.stack.Node.Engine),
-	}
+	op := ep.newRecvOp()
+	op.src, op.tag, op.addr, op.bufLen = from, o.Tag, addr, bufLen
 
 	// Register the receive operation and resolve the destination's zero
 	// buffer. With masking (internode), registration becomes visible
@@ -206,7 +202,31 @@ func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, buf
 	msg := op.msg
 	t.Exec(cfg.SyscallExit)
 	ep.received++
+	ep.freeRecvOp(op)
 	return msg.buf, Status{Source: msg.ch.From, Tag: msg.tag, Valid: true}, nil
+}
+
+// newRecvOp takes a receive op, with its completion cond, from the free
+// list, or makes one.
+func (ep *Endpoint) newRecvOp() *recvOp {
+	if n := len(ep.freeOps); n > 0 {
+		op := ep.freeOps[n-1]
+		ep.freeOps[n-1] = nil
+		ep.freeOps = ep.freeOps[:n-1]
+		return op
+	}
+	return &recvOp{done: sim.NewCond(ep.stack.Node.Engine)}
+}
+
+// freeRecvOp recycles the op of a receive that completed. Nothing else
+// holds it by then: the pending list dropped it at bind, and its
+// message, complete and out of the inbound list, keeps it only for a
+// late completion wake, which wakeRecv stops once op.msg is cleared. A
+// failed receive's op is never recycled: a message it was bound to may
+// still be inbound.
+func (ep *Endpoint) freeRecvOp(op *recvOp) {
+	*op = recvOp{done: op.done}
+	ep.freeOps = append(ep.freeOps, op)
 }
 
 // register makes a receive operation visible to senders and handlers.
@@ -432,10 +452,9 @@ func (ep *Endpoint) drainBuffered(t *smp.Thread, m *inboundMsg) {
 // acknowledgement / pull request; intranode it dispatches the pull kernel
 // thread.
 func (ep *Endpoint) maybeStartPull(t *smp.Thread, m *inboundMsg) {
-	if m.pullSent || m.op == nil || m.pullRemainder() <= 0 {
+	if !ep.claimPull(m) {
 		return
 	}
-	m.pullSent = true
 	if ep.stack.intranode(m.ch.From) {
 		ep.stack.dispatchIntraPull(m)
 	} else {
@@ -443,21 +462,38 @@ func (ep *Endpoint) maybeStartPull(t *smp.Thread, m *inboundMsg) {
 	}
 }
 
+// claimPull reports whether m's pull phase is due (bound, with bytes
+// left to pull, not yet started) and marks it started.
+func (ep *Endpoint) claimPull(m *inboundMsg) bool {
+	if m.pullSent || m.op == nil || m.pullRemainder() <= 0 {
+		return false
+	}
+	m.pullSent = true
+	return true
+}
+
 // complete marks a message fully received. When a handler or pull thread
 // finishes the message (t non-nil and a receiver is parked), it pays the
 // cross-CPU signal; a receiver completing its own message inline passes
-// t = nil.
+// t = nil. The receive handler does the same from a task (rxHandler).
 func (ep *Endpoint) complete(t *smp.Thread, m *inboundMsg) {
-	if m.complete {
+	if !ep.markComplete(m) {
 		return
+	}
+	if m.op != nil && t != nil {
+		t.Exec(t.SignalCost(ep.stack.Node.CPUs[ep.CPU]))
+	}
+	m.wakeRecv()
+}
+
+// markComplete marks m complete and drops it from the inbound list. It
+// reports false if m already was complete.
+func (ep *Endpoint) markComplete(m *inboundMsg) bool {
+	if m.complete {
+		return false
 	}
 	m.complete = true
 	ep.stack.chanEvent(trace.KindComplete, m.ch, m.msgID, "complete: %d/%d bytes received", m.received, m.total)
 	ep.removeInbound(m)
-	if m.op != nil && t != nil {
-		t.Exec(t.SignalCost(ep.stack.Node.CPUs[ep.CPU]))
-	}
-	if m.op != nil {
-		m.op.done.Broadcast()
-	}
+	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"pushpull/internal/sim"
+	"pushpull/internal/smp"
 )
 
 func TestInterBTPSelection(t *testing.T) {
@@ -198,4 +199,39 @@ func TestValidateRejectsBadGBN(t *testing.T) {
 	if opts.Validate() == nil {
 		t.Error("zero go-back-N window validated")
 	}
+}
+
+// TestLateCompletionWakeSkipsRecycledOp: a receive's op is recycled once
+// the receive returns, so a completion wake for its old message that
+// comes later (a signal cost outlasting the receive) must not reach the
+// receive that reuses the op.
+func TestLateCompletionWakeSkipsRecycledOp(t *testing.T) {
+	e := sim.NewEngine(1)
+	ep := &Endpoint{stack: &Stack{Node: smp.NewNode(e, 0, smp.DefaultConfig())}}
+	op := ep.newRecvOp()
+	old := &inboundMsg{op: op}
+	op.msg = old
+	ep.freeRecvOp(op)
+	if reused := ep.newRecvOp(); reused != op {
+		t.Fatal("the free list did not hand back the recycled op")
+	}
+	next := &inboundMsg{op: op}
+	op.msg = next
+	woken := 0
+	e.Go("next receive", func(p *sim.Process) {
+		op.done.Wait(p)
+		woken++
+	})
+	e.RunUntil(0)
+	old.wakeRecv()
+	e.RunUntil(0)
+	if woken != 0 {
+		t.Fatal("a late wake for the old message woke the op's next receive")
+	}
+	next.wakeRecv()
+	e.Run()
+	if woken != 1 {
+		t.Fatal("the op's own message did not wake its receive")
+	}
+	e.Shutdown()
 }

@@ -1,8 +1,6 @@
 package pushpull
 
 import (
-	"fmt"
-
 	"pushpull/internal/smp"
 	"pushpull/internal/trace"
 )
@@ -188,163 +186,57 @@ func pushRuns(opts Options, btp, total int) []int {
 	return []int{btp}
 }
 
-// deliverFrag handles one in-order data fragment at the receive side,
-// in reception-handler context. It reports false when the fragment could
-// not be buffered, which the go-back-N layer treats as loss — stalling
-// only this channel's stream.
-func (s *Stack) deliverFrag(t *smp.Thread, f fragMsg) bool {
-	cfg := s.Node.Cfg
-	ep := s.eps[f.ch.To.Proc]
-	if ep == nil {
-		panic(fmt.Sprintf("pushpull: fragment for missing endpoint %v", f.ch.To))
-	}
-	m := ep.findInbound(f.ch, f.msgID)
-	if m == nil {
-		t.Exec(cfg.QueueOp)
-		m = &inboundMsg{
-			ch:        f.ch,
-			msgID:     f.msgID,
-			tag:       f.tag,
-			laneSeq:   f.laneSeq,
-			total:     f.total,
-			pushTotal: f.pushTotal,
-			buf:       make([]byte, f.total),
-		}
-		ep.addInbound(m)
-	}
-	if m.op != nil {
-		if len(f.data) > 0 {
-			s.chanEvent(trace.KindDirect, f.ch, f.msgID, "frag [%d:%d) direct to destination on cpu%d", f.offset, f.offset+len(f.data), t.CPU.ID)
-		}
-		// Receive registered: copy straight into the destination buffer
-		// through its zero buffer (one copy). The destination's
-		// translation may still be in flight when masked — wait for it.
-		if rdy := m.op.zbReadyAt; t.Now() < rdy {
-			t.P.Sleep(rdy.Sub(t.Now()))
-		}
-		if len(f.data) > 0 {
-			t.Copy(len(f.data), false)
-			copy(m.buf[f.offset:], f.data)
-			m.received += len(f.data)
-		}
-		// Push-and-Acknowledge Overlapping: the handler answers the
-		// first pushed fragment with the pull request immediately, while
-		// later pushed fragments are still on the wire.
-		ep.maybeStartPull(t, m)
-		if m.received == m.total {
-			ep.complete(t, m)
-		}
+// parkFrag parks an in-order data fragment that arrived before its
+// receive in the pushed buffer. Fragments carrying data occupy one slot
+// each; empty announcements are pure metadata. It reports false when the
+// fragment must be refused, which the go-back-N layer treats as loss,
+// stalling only this channel's stream.
+func (s *Stack) parkFrag(ep *Endpoint, m *inboundMsg, f fragMsg) bool {
+	if len(f.data) == 0 {
 		return true
 	}
-	// No receive yet: park the fragment in the pushed buffer. Fragments
-	// carrying data occupy one slot each; empty announcements are pure
-	// metadata.
-	if len(f.data) > 0 {
-		switch {
-		case ep.ring.tryReserveSlot():
-			m.slots++
-			m.buffered = append(m.buffered, f)
-			s.chanEvent(trace.KindPark, f.ch, f.msgID, "frag [%d:%d) parked in pushed buffer (slot %d/%d)", f.offset, f.offset+len(f.data), ep.ring.slotsUsed(), ep.ring.slots)
-		case !m.pullSent && f.pushTotal < f.total:
-			// Buffer full, but a pull phase is still to come: discard
-			// this optimistic push and let the pull request re-fetch the
-			// range. Accepting (and acking) the fragment keeps the
-			// in-order stream moving — refusing it would stall pull
-			// traffic of earlier messages behind the retransmission.
-			m.dropped = append(m.dropped, byteRange{Off: f.offset, N: len(f.data)})
-			s.discardedBytes += uint64(len(f.data))
-			s.chanEvent(trace.KindDiscard, f.ch, f.msgID, "frag [%d:%d) DISCARDED: pushed buffer full, pull will re-fetch", f.offset, f.offset+len(f.data))
-		default:
-			// Fully eager message (Push-All or a short fully-pushed
-			// transfer): no pull phase exists to re-fetch the data, so
-			// the fragment must be refused and recovered by go-back-N —
-			// the paper's Fig. 6 collapse, now confined to this
-			// channel's eager lane. (The pullSent guard above is pure
-			// defense: match-time capacity validation means a receive
-			// never detaches after starting a pull, so an unbound
-			// message with the pull request already out cannot occur —
-			// but if it ever did, a discard here would be an
-			// unrecoverable hole, while refusal retransmits.)
-			s.chanEvent(trace.KindRefuse, f.ch, f.msgID, "frag [%d:%d) REFUSED: pushed buffer full", f.offset, f.offset+len(f.data))
-			return false
-		}
-	}
-	t.Exec(cfg.QueueOp)
-	if m.op != nil && m.op.done != nil {
-		m.op.done.Broadcast()
+	switch {
+	case ep.ring.tryReserveSlot():
+		m.slots++
+		m.buffered = append(m.buffered, f)
+		s.chanEvent(trace.KindPark, f.ch, f.msgID, "frag [%d:%d) parked in pushed buffer (slot %d/%d)", f.offset, f.offset+len(f.data), ep.ring.slotsUsed(), ep.ring.slots)
+	case !m.pullSent && f.pushTotal < f.total:
+		// Buffer full, but a pull phase is still to come: discard this
+		// optimistic push and let the pull request re-fetch the range.
+		// Accepting (and acking) the fragment keeps the in-order stream
+		// moving — refusing it would stall pull traffic of earlier
+		// messages behind the retransmission.
+		m.dropped = append(m.dropped, byteRange{Off: f.offset, N: len(f.data)})
+		s.discardedBytes += uint64(len(f.data))
+		s.chanEvent(trace.KindDiscard, f.ch, f.msgID, "frag [%d:%d) DISCARDED: pushed buffer full, pull will re-fetch", f.offset, f.offset+len(f.data))
+	default:
+		// Fully eager message (Push-All or a short fully-pushed
+		// transfer): no pull phase exists to re-fetch the data, so the
+		// fragment must be refused and recovered by go-back-N — the
+		// paper's Fig. 6 collapse, now confined to this channel's eager
+		// lane. (The pullSent guard above is pure defense: match-time
+		// capacity validation means a receive never detaches after
+		// starting a pull, so an unbound message with the pull request
+		// already out cannot occur — but if it ever did, a discard here
+		// would be an unrecoverable hole, while refusal retransmits.)
+		s.chanEvent(trace.KindRefuse, f.ch, f.msgID, "frag [%d:%d) REFUSED: pushed buffer full", f.offset, f.offset+len(f.data))
+		return false
 	}
 	return true
 }
 
 // sendPullReq transmits the acknowledgement-cum-pull-request for m from
-// the receive side (handler or receive process context), on the
-// channel's own control lane.
+// the receiving thread, on the channel's own control lane. The receive
+// handler does the same from a task (rxHandler).
 func (s *Stack) sendPullReq(t *smp.Thread, m *inboundMsg) {
-	cfg := s.Node.Cfg
-	t.Exec(cfg.QueueOp)
+	t.Exec(s.Node.Cfg.QueueOp)
 	t.Exec(s.nicKernelTrigger())
+	s.postPullReq(m)
+}
+
+// postPullReq sends m's pull request once its costs are paid.
+func (s *Stack) postPullReq(m *inboundMsg) {
 	s.chanEvent(trace.KindPullReq, m.ch, m.msgID, "pull request (ack) for [%d:%d), %d dropped ranges", m.pushTotal, m.total, len(m.dropped))
 	req := pullReqMsg{ch: m.ch, msgID: m.msgID, fromOffset: m.pushTotal, redo: m.dropped}
 	s.inSession(m.ch).send(laneCtrl, req.wireBytes(), req)
-}
-
-// servePull runs at the send side when the pull request arrives: grant it
-// and transmit the rest of the message from the send queue (arrow 1b.2).
-func (s *Stack) servePull(t *smp.Thread, req pullReqMsg) {
-	cfg := s.Node.Cfg
-	ep := s.eps[req.ch.From.Proc]
-	if ep == nil {
-		panic(fmt.Sprintf("pushpull: pull request for missing endpoint %v", req.ch.From))
-	}
-	key := sendKey{req.ch, req.msgID}
-	op := ep.sendOps[key]
-	if op == nil || op.served {
-		return // duplicate pull request after go-back-N retransmission
-	}
-	t.Exec(cfg.QueueOp)
-	if s.Adapter != nil {
-		redo := 0
-		for _, r := range req.redo {
-			redo += r.N
-		}
-		s.Adapter.OnPullRequest(req.ch, redo, t.Now().Sub(op.start))
-	}
-	if op.done != nil {
-		// Three-phase: the CTS wakes the parked sender, which transmits
-		// from its own thread; the handler only delivers the grant.
-		s.grantThreePhase(op, req)
-		return
-	}
-	// The pull data DMAs from the user source buffer: its translation
-	// must have finished (masking scheduled it behind the push wire
-	// time, which is almost always enough — but never break causality).
-	if t.Now() < op.srcReadyAt {
-		t.P.Sleep(op.srcReadyAt.Sub(t.Now()))
-	}
-	s.chanEvent(trace.KindPullGrant, req.ch, req.msgID, "pull granted, transmitting [%d:%d) + %d redo ranges", op.pushed, len(op.data), len(req.redo))
-	sess := s.outSession(req.ch)
-	total := len(op.data)
-	ranges := append(append([]byteRange(nil), req.redo...), byteRange{Off: op.pushed, N: total - op.pushed})
-	for _, r := range ranges {
-		for off, end := r.Off, r.Off+r.N; off < end; {
-			n := end - off
-			if n > MaxFragData {
-				n = MaxFragData
-			}
-			frag := fragMsg{
-				ch:        req.ch,
-				msgID:     req.msgID,
-				tag:       op.tag,
-				offset:    off,
-				data:      op.data[off : off+n],
-				total:     total,
-				pushTotal: op.pushed,
-				pull:      true,
-			}
-			t.Exec(s.nicKernelTrigger())
-			sess.send(lanePull, frag.wireBytes(), frag)
-			off += n
-		}
-	}
-	s.finishSend(ep, op)
 }

@@ -85,11 +85,9 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 		if btp == total {
 			s.finishSend(ep, op)
 		}
-		if m.op != nil {
-			// A receive registered while we were copying: wake it to
-			// drain the staged bytes and start the pull.
-			m.op.done.Broadcast()
-		}
+		// A receive registered while we were copying: wake it to drain
+		// the staged bytes and start the pull.
+		m.wakeRecv()
 	}
 
 	for op.done != nil && !op.served {

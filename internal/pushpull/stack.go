@@ -47,15 +47,8 @@ type Stack struct {
 	outSess   map[ChannelID]*chanSession
 	inSess    map[ChannelID]*chanSession
 	sessOrder []*chanSession
-	// curT is the handler thread currently delivering a packet; the
-	// go-back-N deliver callbacks have no thread parameter, and handlers
-	// are serialized by rxLock, so passing it through the stack is safe.
-	curT *smp.Thread
-	// rxLock serializes reception handlers (paper §2 stage 1: "the
-	// system has to restrict that only one user or kernel thread invokes
-	// the thread at a time"). Without it, a handler sleeping in a copy
-	// while the next frame's handler runs would reenter the go-back-N
-	// receiver and misorder in-order traffic.
+	// rxLock serializes the reception handlers' deliveries (see
+	// rxHandler.Step). Handlers wait for it in FIFO order.
 	rxLock *sim.Resource
 
 	// discardedBytes counts pushed bytes the receive side dropped for
@@ -174,9 +167,7 @@ func (s *Stack) Procs() int { return len(s.eps) }
 func (s *Stack) AttachNIC(nc *nic.NIC) {
 	railIdx := len(s.nics)
 	s.nics = append(s.nics, nc)
-	nc.SetReceiveHandler(func(t *smp.Thread, f ether.Frame) {
-		s.handleFrame(railIdx, t, f)
-	})
+	nc.SetRxHandler(func() nic.RxHandler { return &rxHandler{s: s, rail: railIdx} })
 }
 
 // NIC returns rail 0's NIC (nil for an intranode-only stack); Rails
@@ -306,12 +297,9 @@ func (s *Stack) newSession(ch ChannelID, peer int, out bool) *chanSession {
 					r.snd[l].SetOnDead(func() { s.peerUnreachable(peer) })
 				}
 			} else {
-				// This node receives on the lane.
-				deliver := sess.deliverFrag
-				if l == laneCtrl {
-					deliver = sess.deliverCtrl
-				}
-				r.rcv[l] = gbn.NewReceiver(deliver, func(ack uint32) { r.transmitAck(l, ack) })
+				// This node receives on the lane; the receive handler
+				// delivers (rxHandler).
+				r.rcv[l] = gbn.NewReceiver(nil, func(ack uint32) { r.transmitAck(l, ack) })
 			}
 		}
 		sess.rails = append(sess.rails, r)
@@ -361,65 +349,6 @@ func (r *chanRail) transmitAck(l lane, ack uint32) {
 		Payload:      wireMsg{ch: r.sess.ch, lane: l, isAck: true, ack: linkAckMsg{ack: ack}},
 	}
 	r.launchTx(nic.TxRequest{Frame: frame, Preloaded: true})
-}
-
-// deliverFrag is the eager and pull lanes' go-back-N upward delivery: an
-// in-order fragment for this node. It reports whether the fragment could
-// be consumed; false (no pushed-buffer space) makes go-back-N treat it
-// as lost — stalling only this channel's eager lane.
-func (ps *chanSession) deliverFrag(pkt gbn.Packet) bool {
-	f, ok := pkt.Data.(fragMsg)
-	if !ok {
-		panic(fmt.Sprintf("pushpull: data lane carried %T", pkt.Data))
-	}
-	return ps.stack.deliverFrag(ps.stack.curT, f)
-}
-
-// deliverCtrl is the control lane's upward delivery at the data sender:
-// the channel's pull requests.
-func (ps *chanSession) deliverCtrl(pkt gbn.Packet) bool {
-	req, ok := pkt.Data.(pullReqMsg)
-	if !ok {
-		panic(fmt.Sprintf("pushpull: control lane carried %T", pkt.Data))
-	}
-	ps.stack.servePull(ps.stack.curT, req)
-	return true
-}
-
-// handleFrame is the reception handler (paper §2 stages 3-4): it runs in
-// interrupt or polling context on the CPU the node's policy chose, and
-// routes the frame to its channel's session and lane.
-func (s *Stack) handleFrame(railIdx int, t *smp.Thread, f ether.Frame) {
-	if !s.peers[f.Src] {
-		s.event(trace.KindError, "frame from unknown peer %d dropped", f.Src)
-		return
-	}
-	wm, ok := f.Payload.(wireMsg)
-	if !ok {
-		panic(fmt.Sprintf("pushpull: node %d received foreign payload %T", s.Node.ID, f.Payload))
-	}
-	// Eager/pull lane traffic arrives at the channel's To node (its in
-	// session); control traffic arrives at the From node (out session).
-	// Acks travel the opposite way and land on the transmitting half.
-	sessionOf := func(recvSide bool) *chanSession {
-		if wm.lane.toSender() == recvSide {
-			return s.outSession(wm.ch)
-		}
-		return s.inSession(wm.ch)
-	}
-	if wm.isAck {
-		// Link acks touch only a go-back-N sender and never sleep; they
-		// bypass the handler lock like a real driver's ack fast path.
-		sessionOf(false).rails[railIdx].snd[wm.lane].OnAck(wm.ack.ack)
-		return
-	}
-	pkt := wm.pkt.(gbn.Packet)
-	sess := sessionOf(true)
-	s.rxLock.Acquire(t.P)
-	s.curT = t
-	sess.rails[railIdx].rcv[wm.lane].OnPacket(pkt)
-	s.curT = nil
-	s.rxLock.Release()
 }
 
 // peerUnreachable marks peer dead — a go-back-N sender toward it

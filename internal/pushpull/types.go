@@ -196,6 +196,16 @@ type inboundMsg struct {
 
 func (m *inboundMsg) lane() laneKey { return laneKey{ch: m.ch, tag: m.tag} }
 
+// wakeRecv wakes the receive bound to m. A receive's op is recycled once
+// the receive returns, so a wake that comes later (a completion whose
+// signal cost outlasted the receive) must not reach the op's next
+// receive: it is dropped once op.msg no longer names m.
+func (m *inboundMsg) wakeRecv() {
+	if op := m.op; op != nil && op.msg == m {
+		op.done.Broadcast()
+	}
+}
+
 // byteRange is a half-open [Off, Off+N) range of message bytes.
 type byteRange struct {
 	Off, N int

@@ -125,6 +125,12 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // Executed reports how many events have run so far; useful in tests.
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// Handoffs reports how many times control has passed between goroutines
+// so far: process resumes that were not inline, and the hand back to the
+// Run caller. It observes the host cost of a run and is outside every
+// digest.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
+
 // Schedule runs fn at virtual time e.Now()+d with normal priority.
 func (e *Engine) Schedule(d Duration, fn func()) { e.At(e.now.Add(d), PriorityNormal, fn) }
 

@@ -24,7 +24,8 @@
 //     sync primitive through its polling variants (Queue.PollGet/PollPut,
 //     Resource.PollAcquire, Cond.Await) and returning; an explicit resume
 //     point (a pc field in the owning struct) replaces the goroutine
-//     stack. The NIC, go-back-N and switch pumps run on this tier.
+//     stack. The NIC, go-back-N and switch pumps and the receive
+//     interrupt handlers run on this tier.
 //
 // Both tiers park on the same primitives through the Waiter interface:
 // Cond, Queue and Resource keep a single FIFO waiter list in which

@@ -45,9 +45,12 @@ type InterruptController struct {
 	asymTarget int
 	pollCPU    int
 	raised     uint64
-	// free recycles the per-interrupt records, so a raise on a warm
-	// controller allocates only the handler's sim.Process.
-	free []*irqJob
+	// free recycles the per-interrupt records of the process path, and
+	// freeTasks the handler tasks of the tasklet path, so a raise on a
+	// warm controller allocates nothing but, on the process path, the
+	// handler's sim.Process.
+	free      []*irqJob
+	freeTasks []*Task
 }
 
 func newInterruptController(n *Node) *InterruptController {
@@ -69,41 +72,47 @@ func (ic *InterruptController) Policy() Policy { return ic.policy }
 // Raised reports how many handler invocations have been requested.
 func (ic *InterruptController) Raised() uint64 { return ic.raised }
 
-// Raise requests execution of handler in interrupt (or polling) context.
-// The handler runs on a processor chosen by the policy after the delivery
-// latency; its execution time is stolen from whatever that processor was
-// doing at the time.
+// RaiseTask requests execution of body in interrupt (or polling) context
+// on the tasklet tier. The handler runs as a Task on a processor chosen
+// by the policy after the delivery latency: the dispatch cost, then body
+// until it reports true, then the exit cost (none when polling). Its
+// execution time is stolen from whatever that processor was doing at the
+// time.
 //
-// Raise is tier-neutral: it only schedules, never blocks, so it may be
-// called from any engine-context code — an event callback, a tasklet step
-// (the NIC receive path raises from one), or a process body. The handler
-// itself always runs on a process named name, because handler bodies
-// block (bus copies, Exec) and so need the goroutine tier; the engine
-// runs it on a pooled carrier. The *Thread passed to handler is recycled
-// when handler returns: the handler must not retain it.
-func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
-	ic.raised++
-	n := ic.node
-	switch ic.policy {
-	case Polling:
-		// The polling routine notices the state change at its next tick.
-		period := int64(n.Cfg.PollPeriod)
-		now := int64(n.Engine.Now())
-		wait := sim.Duration((now/period+1)*period - now)
-		ic.deliver(name, n.CPUs[ic.pollCPU], wait, n.Cfg.PollCheck, handler)
-	case Asymmetric:
-		ic.deliver(name, n.CPUs[ic.asymTarget], 0, n.Cfg.InterruptDispatch, handler)
-	case Symmetric:
-		cpu := n.LeastLoadedCPU()
-		ic.deliver(name, cpu, 0, n.Cfg.InterruptDispatch+n.Cfg.InterruptArbitration, handler)
-	default:
-		panic("smp: unknown interrupt policy")
+// RaiseTask only schedules, so it may be called from any engine-context
+// code. Handler tasks are pooled: one is made only when every earlier
+// one is still running a handler.
+func (ic *InterruptController) RaiseTask(name string, body func(t *Task) bool) {
+	cpu, wait, cost := ic.route()
+	var t *Task
+	if n := len(ic.freeTasks); n > 0 {
+		t = ic.freeTasks[n-1]
+		ic.freeTasks[n-1] = nil
+		ic.freeTasks = ic.freeTasks[:n-1]
+	} else {
+		t = &Task{Node: ic.node, ic: ic}
+		t.tk = ic.node.Engine.NewTasklet(name, t.run)
+	}
+	t.CPU, t.cost, t.body, t.stage = cpu, cost, body, taskDispatch
+	// Start and Sleep take the same dispatch slot as the process path's
+	// GoAt(wait).
+	if wait > 0 {
+		t.tk.Sleep(wait)
+	} else {
+		t.tk.Start()
 	}
 }
 
-// deliver schedules handler on cpu after an untimed wait (polling delay)
-// plus a timed dispatch cost charged to (and stolen from) the CPU.
-func (ic *InterruptController) deliver(name string, cpu *Processor, wait, cost sim.Duration, handler func(t *Thread)) {
+// Raise is RaiseTask on the process tier: handler runs on a process named
+// name, on a pooled carrier, after the same delivery latency and with the
+// same dispatch and exit costs. The stack's receive handlers all run as
+// tasks; this path is kept for the benchmark module's interrupt
+// microbenchmark, which raises a func(*Thread) handler. Like RaiseTask it
+// may be called from any engine-context code. The *Thread passed to
+// handler is recycled when handler returns: the handler must not retain
+// it.
+func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
+	cpu, wait, cost := ic.route()
 	var j *irqJob
 	if n := len(ic.free); n > 0 {
 		j = ic.free[n-1]
@@ -116,6 +125,28 @@ func (ic *InterruptController) deliver(name string, cpu *Processor, wait, cost s
 	j.t = Thread{Node: ic.node, CPU: cpu, handler: true}
 	j.cost, j.handler = cost, handler
 	ic.node.Engine.GoAt(wait, name, j.runFn)
+}
+
+// route counts one raise and picks its CPU per the policy, with the
+// untimed wait before the handler starts (the polling delay) and the
+// timed dispatch cost charged to, and stolen from, that CPU.
+func (ic *InterruptController) route() (cpu *Processor, wait, cost sim.Duration) {
+	ic.raised++
+	n := ic.node
+	switch ic.policy {
+	case Polling:
+		// The polling routine notices the state change at its next tick.
+		period := int64(n.Cfg.PollPeriod)
+		now := int64(n.Engine.Now())
+		wait = sim.Duration((now/period+1)*period - now)
+		return n.CPUs[ic.pollCPU], wait, n.Cfg.PollCheck
+	case Asymmetric:
+		return n.CPUs[ic.asymTarget], 0, n.Cfg.InterruptDispatch
+	case Symmetric:
+		return n.LeastLoadedCPU(), 0, n.Cfg.InterruptDispatch + n.Cfg.InterruptArbitration
+	default:
+		panic("smp: unknown interrupt policy")
+	}
 }
 
 // irqJob is one handler invocation: the handler's Thread and what to run

@@ -96,6 +96,17 @@ type Processor struct {
 	busy   sim.Duration
 }
 
+// charge starts d of timed work on the CPU; stolen marks handler time,
+// which computations on the CPU absorb. The caller ends the work with
+// active-- once d has elapsed.
+func (c *Processor) charge(d sim.Duration, stolen bool) {
+	c.active++
+	c.busy += d
+	if stolen {
+		c.stolen += d
+	}
+}
+
 // Load reports the number of contexts currently running timed work.
 func (c *Processor) Load() int { return c.active }
 
@@ -136,6 +147,24 @@ func NewNode(e *sim.Engine, id int, cfg Config) *Node {
 // NewSpace creates a fresh user address space on this node.
 func (n *Node) NewSpace(name string) *vm.AddressSpace {
 	return vm.NewAddressSpace(fmt.Sprintf("n%d/%s", n.ID, name), n.Frames, n.Cfg.VMCost)
+}
+
+// copyCost reports the time of a memory copy of n bytes; cold applies
+// the cold-cache penalty.
+func (n *Node) copyCost(bytes int, cold bool) sim.Duration {
+	d := n.Copier.CopyCost(bytes)
+	if cold {
+		d = sim.Duration(float64(d) * n.Cfg.ColdCachePenalty)
+	}
+	return d
+}
+
+// signalCost reports the cost of waking a thread on CPU to from CPU from.
+func (n *Node) signalCost(from, to *Processor) sim.Duration {
+	if to == from {
+		return n.Cfg.SignalLocal
+	}
+	return n.Cfg.SignalRemote
 }
 
 // LeastLoadedCPU returns the CPU with the fewest active contexts,

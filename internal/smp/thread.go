@@ -43,11 +43,7 @@ func (t *Thread) Exec(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.CPU.active++
-	t.CPU.busy += d
-	if t.handler {
-		t.CPU.stolen += d
-	}
+	t.CPU.charge(d, t.handler)
 	t.P.Sleep(d)
 	t.CPU.active--
 }
@@ -58,8 +54,7 @@ func (t *Thread) Exec(d sim.Duration) {
 // finishes 10 µs later.
 func (t *Thread) Compute(cycles int64) {
 	d := t.Node.Cfg.Mem.Cycles(cycles)
-	t.CPU.active++
-	t.CPU.busy += d
+	t.CPU.charge(d, false)
 	absorbed := t.CPU.stolen
 	for d > 0 {
 		t.P.Sleep(d)
@@ -76,15 +71,8 @@ func (t *Thread) Copy(n int, cold bool) {
 	if n <= 0 {
 		return
 	}
-	d := t.Node.Copier.CopyCost(n)
-	if cold {
-		d = sim.Duration(float64(d) * t.Node.Cfg.ColdCachePenalty)
-	}
-	t.CPU.active++
-	t.CPU.busy += d
-	if t.handler {
-		t.CPU.stolen += d
-	}
+	d := t.Node.copyCost(n, cold)
+	t.CPU.charge(d, t.handler)
 	t.Node.Bus.Occupy(t.P, d)
 	t.CPU.active--
 }
@@ -95,11 +83,7 @@ func (t *Thread) PIO(n int) {
 		return
 	}
 	d := t.Node.Copier.PIOCost(n)
-	t.CPU.active++
-	t.CPU.busy += d
-	if t.handler {
-		t.CPU.stolen += d
-	}
+	t.CPU.charge(d, t.handler)
 	t.Node.Bus.Occupy(t.P, d)
 	t.CPU.active--
 }
@@ -114,10 +98,7 @@ func (t *Thread) Syscall(fn func()) {
 // SignalCost reports the cost of waking a thread on CPU target from this
 // thread's CPU.
 func (t *Thread) SignalCost(target *Processor) sim.Duration {
-	if target == t.CPU {
-		return t.Node.Cfg.SignalLocal
-	}
-	return t.Node.Cfg.SignalRemote
+	return t.Node.signalCost(t.CPU, target)
 }
 
 // SpawnKernel starts a kernel worker thread on cpu whose execution time
