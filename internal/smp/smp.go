@@ -149,10 +149,10 @@ func (n *Node) NewSpace(name string) *vm.AddressSpace {
 	return vm.NewAddressSpace(fmt.Sprintf("n%d/%s", n.ID, name), n.Frames, n.Cfg.VMCost)
 }
 
-// copyCost reports the time of a memory copy of n bytes; cold applies
-// the cold-cache penalty.
-func (n *Node) copyCost(bytes int, cold bool) sim.Duration {
-	d := n.Copier.CopyCost(bytes)
+// copyCost reports the time of a memory copy of size bytes; cold
+// applies the cold-cache penalty.
+func (n *Node) copyCost(size int, cold bool) sim.Duration {
+	d := n.Copier.CopyCost(size)
 	if cold {
 		d = sim.Duration(float64(d) * n.Cfg.ColdCachePenalty)
 	}
