@@ -28,6 +28,14 @@ lint:
 	$(GO) run ./cmd/pushpull-lint ./...
 	@echo "lint OK"
 
+# loc prints the Go line counts ROADMAP reports: every tracked .go file
+# outside benchmark/ and testdata/, split into non-test and test lines.
+.PHONY: loc
+loc:
+	@files=$$(git ls-files '*.go' | grep -v -e '^benchmark/' -e 'testdata/'); \
+	echo "non-test $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
+
 .PHONY: build
 build:
 	$(GO) build ./...

@@ -17,11 +17,12 @@ import (
 // pooled task) and neither does a posted receive (its op and cond are
 // recycled); what is left is the received copy Recv returns, the
 // per-message protocol state, and the wire messages boxed into frame
-// payloads. The count is exact: 42, against 66 when every receive
-// interrupt ran on a fresh sim.Process and every receive made a new op
-// and cond, and 242 when every interrupt started a fresh goroutine and
-// every frame hop scheduled a fresh closure.
-const roundTripAllocs = 42
+// payloads. The count is exact: 38, against 42 when every send and
+// receive built the buffer's physical scatter list, 66 when every
+// receive interrupt ran on a fresh sim.Process and every receive made a
+// new op and cond, and 242 when every interrupt started a fresh
+// goroutine and every frame hop scheduled a fresh closure.
+const roundTripAllocs = 38
 
 // roundTripHandoffs is the pinned number of goroutine switches in one
 // warm round trip: the Run caller wakes the ping thread, the ping thread

@@ -251,10 +251,8 @@ func runHeadline(p Params) []*stats.Table {
 
 	add("internode peak bandwidth MB/s", 12.1, peak(testbed, p.per(10), 16384, 65536))
 
-	space := vm.NewAddressSpace("probe", vm.NewFrameAllocator(1<<24), vm.DefaultCostModel())
-	addr := space.Alloc(64 << 10)
 	add("address translation of a 64KB message µs (paper: ~12-13 hidden by masking)",
-		12.5, space.TranslateCost(addr, 64<<10).Microseconds())
+		12.5, vm.DefaultCostModel().Cost(0, 64<<10).Microseconds())
 
 	add("push-all late-receiver 3072B recovery ms (paper: ~150)",
 		150, Latency(pushAllLateOneShot()).Mean/1000)

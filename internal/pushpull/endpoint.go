@@ -148,7 +148,7 @@ func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, buf
 	t.Exec(cfg.SyscallEntry)
 
 	op := ep.newRecvOp()
-	op.src, op.tag, op.addr, op.bufLen = from, o.Tag, addr, bufLen
+	op.src, op.tag, op.bufLen = from, o.Tag, bufLen
 
 	// Register the receive operation and resolve the destination's zero
 	// buffer. With masking (internode), registration becomes visible
@@ -175,9 +175,6 @@ func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, buf
 		t.Exec(cost)
 		op.zbReadyAt = t.Now()
 		ep.register(t, op)
-	}
-	if bufLen > 0 {
-		op.zb = translateOrDie(ep.Space, addr, bufLen)
 	}
 
 	// Service loop: drain buffered fragments, start the pull when its
@@ -315,7 +312,7 @@ func (ep *Endpoint) failPeer(peer int, err error) {
 	})
 	for _, k := range keys {
 		op := ep.sendOps[k]
-		if op.ch.To.Node == peer && op.done != nil && op.grant == nil && !op.served && op.err == nil {
+		if op.ch.To.Node == peer && op.done != nil && !op.granted && !op.served && op.err == nil {
 			op.err = err
 			op.done.Broadcast()
 			ep.stack.failedOps++

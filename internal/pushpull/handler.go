@@ -235,7 +235,8 @@ func (h *rxHandler) Step(t *smp.Task, f ether.Frame) bool {
 				// Three-phase: the CTS wakes the parked sender, which
 				// transmits from its own thread; the handler only
 				// delivers the grant.
-				s.grantThreePhase(h.op, h.req)
+				h.op.granted = true
+				h.op.done.Broadcast()
 				h.ok, h.pc = true, hCommit
 				continue
 			}

@@ -51,7 +51,6 @@ func (s *Stack) sendInter(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 		cost := ep.Space.TranslateCost(addr, total)
 		op.srcReadyAt = t.Now().Add(cost)
 		t.Exec(cost)
-		op.srcZB = translateOrDie(ep.Space, addr, total)
 	}
 	if !opts.MaskTranslation && total > 0 {
 		// Unmasked: find out physical addresses before any transmission.

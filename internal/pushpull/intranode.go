@@ -128,7 +128,6 @@ func (s *Stack) intraPull(t *smp.Thread, m *inboundMsg) {
 	t.Exec(cfg.QueueOp)
 	// The pull thread walks the sender's page tables for the remainder.
 	t.Exec(src.Space.TranslateCost(op.addr+vmAddr(op.pushed), rem))
-	op.srcZB = translateOrDie(src.Space, op.addr, m.total)
 	// One copy, source user buffer to destination user buffer, through
 	// the kernel direct map. Without the zero buffer (§4.2 ablation) the
 	// data is staged through a shared kernel segment and copied twice.

@@ -40,13 +40,8 @@ func (ep *Endpoint) Isend(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data []
 
 // IsendOpt is Isend with per-operation options (tag, BTP override).
 func (ep *Endpoint) IsendOpt(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) *Request {
-	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
 	t.Exec(ep.stack.Node.Cfg.CallOverhead) // posting cost on the caller
-	ep.stack.Node.Spawn("isend", ep.CPU, func(ht *smp.Thread) {
-		err := ep.SendOpt(ht, to, addr, data, o)
-		req.finish(nil, Status{Source: ep.ID, Tag: o.Tag, Valid: true}, err)
-	})
-	return req
+	return ep.isend(0, to, addr, data, o)
 }
 
 // Irecv starts a nonblocking receive of the next tag-0 message on channel
@@ -63,13 +58,8 @@ func (ep *Endpoint) Irecv(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bufLe
 // IrecvOpt is Irecv with per-operation options; from may be AnySource
 // and o.Tag may be AnyTag. The Request's Status reports what matched.
 func (ep *Endpoint) IrecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
-	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
-	t.Exec(ep.stack.Node.Cfg.CallOverhead)
-	ep.stack.Node.Spawn("irecv", ep.CPU, func(ht *smp.Thread) {
-		b, st, err := ep.RecvOpt(ht, from, addr, bufLen, o)
-		req.finish(b, st, err)
-	})
-	return req
+	t.Exec(ep.stack.Node.Cfg.CallOverhead) // posting cost on the caller
+	return ep.irecv(0, from, addr, bufLen, o)
 }
 
 // IsendAsyncOpt is IsendOpt with no posting thread: the whole operation,
@@ -79,20 +69,32 @@ func (ep *Endpoint) IrecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bu
 // calling thread, should use IsendOpt so the posting cost lands on the
 // caller.
 func (ep *Endpoint) IsendAsyncOpt(to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) *Request {
+	return ep.isend(ep.stack.Node.Cfg.CallOverhead, to, addr, data, o)
+}
+
+// IrecvAsyncOpt is IrecvOpt with no posting thread (see IsendAsyncOpt).
+func (ep *Endpoint) IrecvAsyncOpt(from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
+	return ep.irecv(ep.stack.Node.Cfg.CallOverhead, from, addr, bufLen, o)
+}
+
+// isend runs a send on a helper thread, which first pays post: the
+// posting cost when no calling thread paid it.
+func (ep *Endpoint) isend(post sim.Duration, to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) *Request {
 	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
 	ep.stack.Node.Spawn("isend", ep.CPU, func(ht *smp.Thread) {
-		ht.Exec(ep.stack.Node.Cfg.CallOverhead)
+		ht.Exec(post)
 		err := ep.SendOpt(ht, to, addr, data, o)
 		req.finish(nil, Status{Source: ep.ID, Tag: o.Tag, Valid: true}, err)
 	})
 	return req
 }
 
-// IrecvAsyncOpt is IrecvOpt with no posting thread (see IsendAsyncOpt).
-func (ep *Endpoint) IrecvAsyncOpt(from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
+// irecv runs a receive on a helper thread, which first pays post (see
+// isend).
+func (ep *Endpoint) irecv(post sim.Duration, from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
 	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
 	ep.stack.Node.Spawn("irecv", ep.CPU, func(ht *smp.Thread) {
-		ht.Exec(ep.stack.Node.Cfg.CallOverhead)
+		ht.Exec(post)
 		b, st, err := ep.RecvOpt(ht, from, addr, bufLen, o)
 		req.finish(b, st, err)
 	})

@@ -10,7 +10,6 @@ import (
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
 	"pushpull/internal/trace"
-	"pushpull/internal/vm"
 )
 
 // Stack is the messaging layer of one node: the endpoints living there,
@@ -479,13 +478,3 @@ func (s *Stack) nicTrigger() sim.Duration { return s.nics[0].TriggerCost() }
 
 // nicKernelTrigger reports the kernel driver transmit path cost.
 func (s *Stack) nicKernelTrigger() sim.Duration { return s.nics[0].KernelTriggerCost() }
-
-// translateOrDie resolves a registered user range, panicking on a fault:
-// endpoints validate ranges at Send/Recv entry, so a fault here is a bug.
-func translateOrDie(space *vm.AddressSpace, addr vm.VirtAddr, n int) vm.ZeroBuffer {
-	zb, err := space.Translate(addr, n)
-	if err != nil {
-		panic(err)
-	}
-	return zb
-}

@@ -57,7 +57,6 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 	cost := ep.Space.TranslateCost(addr, total)
 	t.Exec(cost)
 	op.srcReadyAt = t.Now()
-	op.srcZB = translateOrDie(ep.Space, addr, total)
 
 	// Phase 1: request-to-send (a bare announcement, zero pushed bytes).
 	rts := fragMsg{ch: ch, msgID: msgID, tag: so.Tag, laneSeq: laneSeq, total: total, pushTotal: 0, preloaded: true}
@@ -66,7 +65,7 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 
 	// Phase 2: park until the receiver's clear-to-send arrives — or the
 	// peer is declared unreachable, which aborts the handshake.
-	for op.grant == nil && op.err == nil {
+	for !op.granted && op.err == nil {
 		op.done.Wait(t.P)
 		t.Exec(cfg.WakeLatency)
 	}
@@ -100,12 +99,4 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 	}
 	s.finishSend(ep, op)
 	t.Exec(cfg.SyscallExit)
-}
-
-// grantThreePhase delivers a CTS to the parked three-phase sender. It
-// runs in reception-handler context at the send party.
-func (s *Stack) grantThreePhase(op *sendOp, req pullReqMsg) {
-	r := req
-	op.grant = &r
-	op.done.Broadcast()
 }

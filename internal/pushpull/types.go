@@ -123,15 +123,14 @@ type sendOp struct {
 	// transmission (which DMAs from the user buffer) cannot start
 	// earlier.
 	srcReadyAt sim.Time
-	srcZB      vm.ZeroBuffer
 	served     bool
 	// done, when non-nil, marks a synchronous send (three-phase): the
 	// sending thread parks on it until the handshake grant (internode)
 	// or until the transfer is fully served (intranode).
 	done *sim.Cond
-	// grant is the received clear-to-send for a parked three-phase
-	// sender.
-	grant *pullReqMsg
+	// granted marks a parked three-phase sender whose clear-to-send
+	// has arrived.
+	granted bool
 	// err aborts a parked sender: set (with a broadcast on done) when
 	// the peer is declared unreachable.
 	err error
@@ -142,13 +141,11 @@ type sendOp struct {
 type recvOp struct {
 	src    ProcessID // AnySource matches any sender
 	tag    int       // AnyTag matches any tag
-	addr   vm.VirtAddr
 	bufLen int
 	// zbReadyAt is when destination translation completes; handler-side
 	// direct copies must wait for it (relevant when translation is
 	// registered first and masked).
 	zbReadyAt sim.Time
-	zb        vm.ZeroBuffer
 	done      *sim.Cond
 	msg       *inboundMsg
 	err       error

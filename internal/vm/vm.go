@@ -1,42 +1,27 @@
 // Package vm models the virtual-memory subsystem the paper's messaging
-// layer lives on: per-process address spaces with page tables, a physical
-// frame allocator, page pinning, and the Cross-Space Zero Buffer — a
-// scatter list of (physical address, length) pairs that lets a kernel
-// thread move data between two protected user address spaces (or between
-// the NIC buffer and a user buffer) with a single copy.
+// layer lives on, as far as the model reads it: each process has a
+// protected user address space of page-aligned buffers, and resolving a
+// buffer's physical pages — the Cross-Space Zero Buffer a kernel thread
+// copies through (§4.2) — costs virtual time.
 //
-// Virtual buffers are contiguous, but the frames backing them generally are
-// not (the allocator deliberately interleaves frames, as a long-running
-// Linux 2.1 box would), so translation yields one segment per page and its
-// cost grows stepwise with the number of pages crossed. That staircase is
-// load-bearing: it produces the Fig. 3 Push-All cliff near 4 KB and the
-// 12–13 µs win of Address Translation Overhead Masking.
+// The scatter list itself is never built: no simulated byte moves
+// through a physical address, so only the walk's price matters. That
+// price grows stepwise with the number of pages crossed (CostModel). The
+// staircase is load-bearing: it produces the Fig. 3 Push-All cliff near
+// 4 KB and the 12–13 µs win of Address Translation Overhead Masking
+// (§4.3).
 package vm
 
-import (
-	"fmt"
-
-	"pushpull/internal/sim"
-)
+import "pushpull/internal/sim"
 
 // Page geometry (i386, as on the paper's testbed).
 const (
 	PageShift = 12
 	PageSize  = 1 << PageShift
-	PageMask  = PageSize - 1
 )
 
 // VirtAddr is a virtual address within one address space.
 type VirtAddr uint64
-
-// PhysAddr is a physical memory address, global to a node.
-type PhysAddr uint64
-
-// PageOf returns the virtual page number containing a.
-func (a VirtAddr) PageOf() uint64 { return uint64(a) >> PageShift }
-
-// Offset returns the offset of a within its page.
-func (a VirtAddr) Offset() int { return int(uint64(a) & PageMask) }
 
 // PagesSpanned reports how many pages the range [addr, addr+n) touches.
 func PagesSpanned(addr VirtAddr, n int) int {
@@ -68,53 +53,4 @@ func (m CostModel) Cost(addr VirtAddr, n int) sim.Duration {
 		return 0
 	}
 	return m.Base + sim.Duration(PagesSpanned(addr, n))*m.PerPage
-}
-
-// Segment is one physically contiguous piece of a buffer.
-type Segment struct {
-	Addr PhysAddr
-	Len  int
-}
-
-// ZeroBuffer is the paper's cross-space zero buffer: the scatter list of
-// physical segments backing a virtual range. It carries no message data
-// itself — hence the name — only addresses and lengths.
-type ZeroBuffer struct {
-	Segs []Segment
-}
-
-// Len reports the total number of bytes described.
-func (z ZeroBuffer) Len() int {
-	n := 0
-	for _, s := range z.Segs {
-		n += s.Len
-	}
-	return n
-}
-
-// Slice returns a zero buffer describing bytes [off, off+n) of z.
-// It panics if the range is out of bounds — callers hold the registration
-// that produced z, so a bad range is a protocol bug.
-func (z ZeroBuffer) Slice(off, n int) ZeroBuffer {
-	if off < 0 || n < 0 || off+n > z.Len() {
-		panic(fmt.Sprintf("vm: ZeroBuffer.Slice(%d, %d) of %d bytes", off, n, z.Len()))
-	}
-	var out ZeroBuffer
-	for _, s := range z.Segs {
-		if n == 0 {
-			break
-		}
-		if off >= s.Len {
-			off -= s.Len
-			continue
-		}
-		take := s.Len - off
-		if take > n {
-			take = n
-		}
-		out.Segs = append(out.Segs, Segment{Addr: s.Addr + PhysAddr(off), Len: take})
-		off = 0
-		n -= take
-	}
-	return out
 }
