@@ -79,7 +79,7 @@ func NewWorld(c *cluster.Cluster, opts ...WorldOption) *World {
 // node's progression tasklet and subscribes the tasklet to the round
 // already in flight. The unconditional Wake covers operations that
 // completed before the subscription (the round was posted on the rank's
-// thread, whose posting costs let helper threads run ahead): Subscribe
+// thread, whose posting costs let the helper tasks run ahead): Subscribe
 // registers nothing for those, so the first pump must not depend on a
 // wake from them.
 func (w *World) enqueueProgress(rq *Request) {

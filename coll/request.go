@@ -204,7 +204,7 @@ func (r *Rank) start(st stepper) *Request {
 // advance feeds the previous round's receives to the stepper and posts
 // the next round. It runs on the progression tasklet, where there is no
 // rank thread to charge, so it posts through the async variants and the
-// posting cost lands on the helper threads instead.
+// posting cost lands on the operations' helper tasks instead.
 func (rq *Request) advance(got [][]byte) {
 	rd, res, done := rq.step.next(got)
 	if done {

@@ -41,7 +41,25 @@ const ReservedTag = pushpull.ReservedTag
 var AnySource = pushpull.AnySource
 
 // Option tunes one operation. Options compose left to right.
-type Option func(*opConfig)
+//
+// An Option is plain data, not a closure over the operation's settings:
+// folding closures would move the settings to the heap on every call
+// that passes one.
+type Option struct {
+	set optField
+	n   int
+	buf VirtAddr
+}
+
+// optField names the setting an Option carries; the zero Option sets
+// nothing.
+type optField uint8
+
+const (
+	optTag optField = iota + 1
+	optBTP
+	optBuf
+)
 
 type opConfig struct {
 	tag    int
@@ -50,36 +68,36 @@ type opConfig struct {
 	hasBuf bool
 }
 
-// resolve folds opts over the defaults. Without options it returns the
-// defaults directly: the loop makes cfg escape through the option
-// closures, which costs a heap allocation per call.
+// resolve folds opts over the defaults.
 func resolve(opts []Option) opConfig {
-	if len(opts) == 0 {
-		return opConfig{tag: 0, btp: -1}
-	}
 	cfg := opConfig{tag: 0, btp: -1}
 	for _, o := range opts {
-		o(&cfg)
+		switch o.set {
+		case optTag:
+			cfg.tag = o.n
+		case optBTP:
+			cfg.btp = o.n
+		case optBuf:
+			cfg.buf, cfg.hasBuf = o.buf, true
+		}
 	}
 	return cfg
 }
 
 // WithTag labels a send, or narrows a receive, to the given tag.
 // Receives default to tag 0; pass AnyTag to match every tag.
-func WithTag(tag int) Option { return func(c *opConfig) { c.tag = tag } }
+func WithTag(tag int) Option { return Option{set: optTag, n: tag} }
 
 // WithBTP overrides the internode Push-Pull Bytes-To-Push for one send
 // (clamped to [0, len(data)]). Ignored by receives and by the modes
 // whose BTP is their defining constant (Push-Zero, Push-All,
 // three-phase).
-func WithBTP(btp int) Option { return func(c *opConfig) { c.btp = btp } }
+func WithBTP(btp int) Option { return Option{set: optBTP, n: btp} }
 
 // WithBuffer uses the caller-registered buffer at addr instead of the
 // channel's managed staging buffer. The region must come from Comm.Alloc
 // and be large enough for the operation.
-func WithBuffer(addr VirtAddr) Option {
-	return func(c *opConfig) { c.buf = addr; c.hasBuf = true }
-}
+func WithBuffer(addr VirtAddr) Option { return Option{set: optBuf, buf: addr} }
 
 // Comm is one process's messaging handle: the factory for its directed
 // Channels and the home of the convenience calls that route through
@@ -174,7 +192,7 @@ func (c *Comm) Irecv(t *Thread, from ProcessID, maxLen int, opts ...Option) *Op 
 }
 
 // IsendAsync is Isend with no posting thread: the posting cost is
-// charged to the helper thread that runs the operation. It exists for
+// charged to the helper task that runs the operation. It exists for
 // infrastructure that posts from engine context (the collective
 // progression tasklet); application code should use Isend.
 func (c *Comm) IsendAsync(to ProcessID, data []byte, opts ...Option) *Op {

@@ -20,12 +20,12 @@
 //
 // Send and Recv block the calling thread in virtual time exactly like
 // the paper's calls; Isend and Irecv return an Op immediately and run
-// the operation on a helper thread of the same CPU. Op is the single
+// the operation on a helper of the same CPU (a pooled task running the
+// same send or receive body a blocking call runs). Op is the single
 // request type: Wait blocks until completion, Test polls, WaitAll
 // completes a batch, and Status reports the matched source and tag.
 //
-// Operations take functional options instead of positional protocol
-// arguments:
+// Operations take options instead of positional protocol arguments:
 //
 //   - WithTag(k) labels a send or narrows a receive to tag k (receives
 //     default to tag 0; AnyTag matches every tag).

@@ -288,8 +288,8 @@ func (c *Cluster) RunWithin(budget sim.Duration) (sim.Time, error) {
 }
 
 // Shutdown tears the simulation down once a run is over, unwinding every
-// still-parked process goroutine (rank threads and pull kernel threads
-// at budget exhaustion) so a finished cluster holds no goroutines. The
+// still-parked process goroutine (the application's threads at budget
+// exhaustion) so a finished cluster holds no goroutines. The
 // cluster is unusable afterwards; call it last, and not at all if the
 // engine will run again.
 func (c *Cluster) Shutdown() { c.Engine.Shutdown() }

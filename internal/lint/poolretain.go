@@ -11,8 +11,9 @@ import (
 var poolretainAnalyzer = &Analyzer{
 	Name: "poolretain",
 	Doc: "flag storing a pooled one-shot object (sim event and process " +
-		"carrier, smp irqJob and handler Task, nic wireTx/rxJob, ether " +
-		"delivery, pushpull txJob and recvOp) into a struct field, slice, or " +
+		"carrier, smp irqJob and Task, nic wireTx/rxJob, ether delivery, " +
+		"pushpull txJob, recvOp and the sender, receiver and puller step " +
+		"machines) into a struct field, slice, or " +
 		"map after the call that returns it to its free list: the pool " +
 		"will recycle the object and the stale reference aliases a " +
 		"different logical event.",
@@ -31,6 +32,9 @@ var pooledTypeNames = map[string]bool{
 	"txJob":    true,
 	"Task":     true,
 	"recvOp":   true,
+	"sender":   true,
+	"receiver": true,
+	"puller":   true,
 }
 
 // prKind distinguishes the per-function lifecycle events the analyzer

@@ -195,3 +195,32 @@ func (ep *endpoint) finishRecv(op *recvOp) *int {
 	ep.freeRecvOp(op)
 	return m
 }
+
+// sender is a local stand-in for pushpull's pooled send step machine,
+// the record a nonblocking send's helper task runs (receiver and puller
+// are pooled the same way).
+type sender struct {
+	req *int
+}
+
+type stack struct {
+	freeSenders []*sender
+	last        *sender
+}
+
+func (s *stack) freeSender(sd *sender) {
+	*sd = sender{}
+	s.freeSenders = append(s.freeSenders, sd)
+}
+
+func (s *stack) finishSend(sd *sender) {
+	s.freeSender(sd)
+	s.last = sd // want `pooled sender "sd" stored in field s\.last after it was released`
+}
+
+// clean: take the request out, then recycle the record.
+func (s *stack) finishSendClean(sd *sender) *int {
+	req := sd.req
+	s.freeSender(sd)
+	return req
+}

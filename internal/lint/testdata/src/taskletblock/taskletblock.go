@@ -109,3 +109,73 @@ func cleanBody(t *Task, q *Queue) bool {
 	_, ok := q.PollGet(nil)
 	return ok
 }
+
+// Runner is a local stand-in for smp's Runner: a step body written
+// against it serves a blocking Thread caller and a Task caller alike.
+// Traversal cannot follow its method calls, so a body is checked when a
+// *Task-taking function calls it statically.
+type Runner interface {
+	Exec(d int) bool
+	Wait(c *Cond) bool
+}
+
+// Cond and Thread are local stand-ins for sim.Cond and smp.Thread.
+type (
+	Cond   struct{}
+	Thread struct{ p *Process }
+)
+
+func (c *Cond) Wait(p *Process) {}
+func (t *Thread) Exec(d int)    {}
+
+func (t *Task) Wait(c *Cond) bool { return true }
+
+// blocking is a Thread's view of Runner: its methods block,
+// but nothing reaches them through the interface.
+type blocking Thread
+
+func (b *blocking) Exec(d int) bool   { (*Thread)(b).Exec(d); return false }
+func (b *blocking) Wait(c *Cond) bool { c.Wait(b.p); return false }
+
+// sendBody is a send step machine. runTask drives it on a Task, Send on
+// a Thread.
+type sendBody struct {
+	pc   int
+	done *Cond
+	p    *Process
+	th   *Thread
+}
+
+func (sb *sendBody) runTask(t *Task) bool { return sb.step(t) }
+
+func (sb *sendBody) Send(th *Thread) {
+	for !sb.step((*blocking)(th)) {
+	}
+}
+
+func (sb *sendBody) step(x Runner) bool {
+	for {
+		switch sb.pc {
+		case 0:
+			sb.pc = 1
+			if x.Exec(1) {
+				return false
+			}
+		case 1:
+			sb.pc = 2
+			if x.Wait(sb.done) {
+				return false
+			}
+		case 2:
+			sb.done.Wait(sb.p) // want `blocking call Cond\.Wait reachable from tasklet "sendBody\.runTask"`
+			sb.pc = 3
+		default:
+			return sb.finish(x)
+		}
+	}
+}
+
+func (sb *sendBody) finish(x Runner) bool {
+	sb.th.Exec(1) // want `blocking call Thread\.Exec reachable from tasklet "sendBody\.runTask"`
+	return true
+}

@@ -388,7 +388,7 @@ func (j *rxJob) step(tk *sim.Tasklet) {
 			return
 		}
 		j.pc = rxDriver
-		nc.node.IRQ.RaiseTask("nic-rx", j.handleTaskFn)
+		nc.node.IRQ.RaiseTask(j.handleTaskFn)
 	}
 }
 

@@ -80,37 +80,12 @@ func (ep *Endpoint) Send(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data []b
 // valid: they transfer no data but carry their (tag, lane) envelope and
 // complete a matching receive.
 func (ep *Endpoint) SendOpt(t *smp.Thread, to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) error {
-	if to == AnySource {
-		return fmt.Errorf("pushpull: send to AnySource from %v", ep.ID)
+	var sd sender
+	sd.ep, sd.to, sd.addr, sd.data, sd.o = ep, to, addr, data, o
+	if !sd.step(t.Blocking()) {
+		panic("pushpull: a blocking send parked")
 	}
-	if o.Tag == AnyTag {
-		return fmt.Errorf("pushpull: send with wildcard tag from %v", ep.ID)
-	}
-	if len(data) > 0 {
-		if err := ep.Space.Check(addr, len(data)); err != nil {
-			return fmt.Errorf("pushpull: send source: %w", err)
-		}
-	}
-	if !ep.stack.intranode(to) {
-		if derr := ep.stack.deadPeers[to.Node]; derr != nil {
-			ep.stack.failedOps++
-			return fmt.Errorf("pushpull: send to %v: %w", to, derr)
-		}
-	}
-	ch := ChannelID{From: ep.ID, To: to}
-	msgID := ep.nextMsg[ch]
-	ep.nextMsg[ch] = msgID + 1
-	lane := laneKey{ch: ch, tag: o.Tag}
-	laneSeq := ep.nextLane[lane]
-	ep.nextLane[lane] = laneSeq + 1
-
-	if ep.stack.intranode(to) {
-		ep.stack.sendIntra(t, ep, ch, msgID, addr, data, o, laneSeq)
-	} else {
-		ep.stack.sendInter(t, ep, ch, msgID, addr, data, o, laneSeq)
-	}
-	ep.sent++
-	return nil
+	return sd.err
 }
 
 // Recv blocks until the next tag-0 message on channel from→ep arrives
@@ -128,79 +103,12 @@ func (ep *Endpoint) Recv(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bufLen
 // tag) lane messages bind strictly in send order; wildcard receives bind
 // the eligible message that started arriving first.
 func (ep *Endpoint) RecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) ([]byte, Status, error) {
-	if bufLen < 0 {
-		return nil, Status{}, fmt.Errorf("pushpull: negative receive buffer on %v", ep.ID)
+	var r receiver
+	r.ep, r.from, r.addr, r.bufLen, r.tag = ep, from, addr, bufLen, o.Tag
+	if !r.step(t.Blocking()) {
+		panic("pushpull: a blocking receive parked")
 	}
-	if bufLen > 0 {
-		if err := ep.Space.Check(addr, bufLen); err != nil {
-			return nil, Status{}, fmt.Errorf("pushpull: receive destination: %w", err)
-		}
-	}
-	if from != AnySource && !ep.stack.intranode(from) {
-		if derr := ep.stack.deadPeers[from.Node]; derr != nil {
-			ep.stack.failedOps++
-			return nil, Status{}, fmt.Errorf("pushpull: receive from %v: %w", from, derr)
-		}
-	}
-	cfg := ep.stack.Node.Cfg
-
-	t.Exec(cfg.CallOverhead)
-	t.Exec(cfg.SyscallEntry)
-
-	op := ep.newRecvOp()
-	op.src, op.tag, op.bufLen = from, o.Tag, bufLen
-
-	// Register the receive operation and resolve the destination's zero
-	// buffer. With masking (internode), registration becomes visible
-	// first and the translation overlaps whatever the wire is doing; the
-	// handler's direct copy waits for zbReadyAt. Without masking (and
-	// always intranode), registration is visible only once translation
-	// has finished — which is what loses the Push-All race for multi-page
-	// buffers (Fig. 3).
-	cost := sim.Duration(0)
-	if bufLen > 0 {
-		cost = ep.Space.TranslateCost(addr, bufLen)
-	}
-	// An AnySource receive may be bound by an intranode sender, whose
-	// zero-buffer direct push copies at bind time with no way to wait
-	// out a pending translation — so wildcard receives register
-	// unmasked, like intranode ones.
-	masked := ep.stack.Opts.MaskTranslation && from != AnySource && !ep.stack.intranode(from)
-	t.Exec(cfg.QueueOp)
-	if masked {
-		op.zbReadyAt = t.Now().Add(cost)
-		ep.register(t, op)
-		t.Exec(cost)
-	} else {
-		t.Exec(cost)
-		op.zbReadyAt = t.Now()
-		ep.register(t, op)
-	}
-
-	// Service loop: drain buffered fragments, start the pull when its
-	// time comes, park until the message completes. Matching (and the
-	// buffer-overflow failure, which never consumes the message) happens
-	// in settle, driven by registration and arrivals.
-	for op.err == nil {
-		if m := op.msg; m != nil {
-			ep.drainBuffered(t, m)
-			ep.maybeStartPull(t, m)
-			if m.complete {
-				break
-			}
-		}
-		op.done.Wait(t.P)
-		t.Exec(cfg.WakeLatency)
-	}
-	if op.err != nil {
-		t.Exec(cfg.SyscallExit)
-		return nil, Status{}, op.err
-	}
-	msg := op.msg
-	t.Exec(cfg.SyscallExit)
-	ep.received++
-	ep.freeRecvOp(op)
-	return msg.buf, Status{Source: msg.ch.From, Tag: msg.tag, Valid: true}, nil
+	return r.data, r.st, r.err
 }
 
 // newRecvOp takes a receive op, with its completion cond, from the free
@@ -227,7 +135,7 @@ func (ep *Endpoint) freeRecvOp(op *recvOp) {
 }
 
 // register makes a receive operation visible to senders and handlers.
-func (ep *Endpoint) register(t *smp.Thread, op *recvOp) {
+func (ep *Endpoint) register(op *recvOp) {
 	ep.pending = append(ep.pending, op)
 	// A sender may already have parked fragments (or an announcement):
 	// settle immediately so the wait loop sees them.
@@ -339,7 +247,7 @@ func (ep *Endpoint) dropPending(op *recvOp) {
 //
 // Waking: a failed receive is always woken (nothing else ever will). A
 // bound receive is woken unless the resolution involves the exempt op
-// (registering in this very thread — its service loop runs next) or the
+// (registering in this very receive — its service loop runs next) or the
 // exempt message (being delivered right now — the delivery path signals
 // the bound receive itself, and an extra wake here would cost the
 // receiver a spurious wake latency).
@@ -418,47 +326,6 @@ func (ep *Endpoint) removeInbound(m *inboundMsg) {
 	}
 }
 
-// drainBuffered copies fragments parked in the pushed buffer into the
-// bound destination, charging the receiving thread (this is the second
-// copy the pushed buffer costs; data arriving after the bind skips it).
-func (ep *Endpoint) drainBuffered(t *smp.Thread, m *inboundMsg) {
-	for len(m.buffered) > 0 {
-		f := m.buffered[0]
-		m.buffered = m.buffered[1:]
-		t.Copy(len(f.data), true) // written by another CPU: cold
-		copy(m.buf[f.offset:], f.data)
-		m.received += len(f.data)
-		if m.intraBuf > 0 {
-			n := len(f.data)
-			if n > m.intraBuf {
-				n = m.intraBuf
-			}
-			ep.ring.releaseBytes(n)
-			m.intraBuf -= n
-		} else if m.slots > 0 {
-			ep.ring.releaseSlot()
-			m.slots--
-		}
-	}
-	if m.received == m.total {
-		ep.complete(nil, m) // receiver context: no completion signal needed
-	}
-}
-
-// maybeStartPull launches the pull phase once: internode it sends the
-// acknowledgement / pull request; intranode it dispatches the pull kernel
-// thread.
-func (ep *Endpoint) maybeStartPull(t *smp.Thread, m *inboundMsg) {
-	if !ep.claimPull(m) {
-		return
-	}
-	if ep.stack.intranode(m.ch.From) {
-		ep.stack.dispatchIntraPull(m)
-	} else {
-		ep.stack.sendPullReq(t, m)
-	}
-}
-
 // claimPull reports whether m's pull phase is due (bound, with bytes
 // left to pull, not yet started) and marks it started.
 func (ep *Endpoint) claimPull(m *inboundMsg) bool {
@@ -467,20 +334,6 @@ func (ep *Endpoint) claimPull(m *inboundMsg) bool {
 	}
 	m.pullSent = true
 	return true
-}
-
-// complete marks a message fully received. When a handler or pull thread
-// finishes the message (t non-nil and a receiver is parked), it pays the
-// cross-CPU signal; a receiver completing its own message inline passes
-// t = nil. The receive handler does the same from a task (rxHandler).
-func (ep *Endpoint) complete(t *smp.Thread, m *inboundMsg) {
-	if !ep.markComplete(m) {
-		return
-	}
-	if m.op != nil && t != nil {
-		t.Exec(t.SignalCost(ep.stack.Node.CPUs[ep.CPU]))
-	}
-	m.wakeRecv()
 }
 
 // markComplete marks m complete and drops it from the inbound list. It

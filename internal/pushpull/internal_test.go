@@ -130,12 +130,17 @@ func TestPushedBufferBytesBlockUntilSpace(t *testing.T) {
 	e := sim.NewEngine(1)
 	b := newPushedBuffer(e, 1000)
 	var reservedAt sim.Time = -1
+	reserve := func(p *sim.Process, n int) {
+		for !b.tryReserveBytes(n) {
+			b.space.Wait(p)
+		}
+	}
 	e.Go("first", func(p *sim.Process) {
-		b.reserveBytes(p, 800)
+		reserve(p, 800)
 	})
 	e.Go("second", func(p *sim.Process) {
 		p.Sleep(1)
-		b.reserveBytes(p, 500) // must wait for the release at t=50
+		reserve(p, 500) // must wait for the release at t=50
 		reservedAt = p.Now()
 	})
 	e.Go("releaser", func(p *sim.Process) {

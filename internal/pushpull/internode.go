@@ -1,162 +1,192 @@
 package pushpull
 
 import (
+	"pushpull/internal/sim"
 	"pushpull/internal/smp"
 	"pushpull/internal/trace"
 )
 
-// sendInter is the internode send path. With the user-level trigger the
+// stepInter is the internode send path. With the user-level trigger the
 // pushed fragments are PIO-copied into the NIC's outgoing FIFO from user
 // space — no system call, no translation — and the source translation is
 // either masked (scheduled after transmission starts, §4.3) or paid up
 // front. Push-and-Acknowledge Overlapping (§4.4) splits the pushed bytes
 // into BTP(1)+BTP(2) so the receiver's pull request overlaps the second
 // fragment's wire time. Every fragment rides the channel's own data-lane
-// go-back-N session.
-func (s *Stack) sendInter(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint64, addr vmAddr, data []byte, so SendOptions, laneSeq uint64) {
-	if s.Opts.Mode == ThreePhase {
-		s.sendInterThreePhase(t, ep, ch, msgID, addr, data, so, laneSeq)
-		return
-	}
-	cfg := s.Node.Cfg
-	opts := s.Opts
-	total := len(data)
-	btp := opts.interBTP(total)
-	if so.BTP >= 0 && opts.Mode == PushPull {
-		btp = so.BTP
-	} else if s.Adapter != nil && opts.Mode == PushPull {
-		btp = s.Adapter.BTP(ch, total)
-	}
-	if btp < 0 {
-		btp = 0
-	}
-	if btp > total {
-		btp = total
-	}
-	sess := s.outSession(ch)
-
-	t.Exec(cfg.CallOverhead)
-	if !opts.UserTrigger {
-		t.Exec(cfg.SyscallEntry)
-	}
-	t.Exec(cfg.QueueOp) // register the send operation
-	s.chanEvent(trace.KindSend, ch, msgID, "send %dB internode, push %dB", total, btp)
-
-	op := &sendOp{ch: ch, msgID: msgID, tag: so.Tag, addr: addr, data: data, pushed: btp, start: t.Now()}
-	ep.sendOps[sendKey{ch, msgID}] = op
-
-	translated := total == 0 // nothing to translate for an empty message
-	translate := func() {
-		translated = true
-		cost := ep.Space.TranslateCost(addr, total)
-		op.srcReadyAt = t.Now().Add(cost)
-		t.Exec(cost)
-	}
-	if !opts.MaskTranslation && total > 0 {
-		// Unmasked: find out physical addresses before any transmission.
-		translate()
-	}
-
-	// Push phase. Fragment the pushed bytes: BTP(1)+BTP(2) when
-	// overlapping, one run otherwise; each run is further split at the
-	// MTU. Push-All PIO-copies only its first fragment; the rest DMA
-	// from host memory and therefore need the translation first.
-	runs := pushRuns(opts, btp, total)
-	pioBudget := btp
-	if opts.Mode == PushAll {
-		if pioBudget > MaxFragData {
-			pioBudget = MaxFragData
-		}
-	}
-	off := 0
-	for _, run := range runs {
-		if run == 0 {
-			// Empty first run: transmit a bare announcement so the pull
-			// request is triggered as early as possible.
-			ann := fragMsg{ch: ch, msgID: msgID, tag: so.Tag, laneSeq: laneSeq, total: total, pushTotal: btp, preloaded: true}
-			if opts.UserTrigger {
-				t.Exec(s.nicTrigger())
-			} else {
-				t.Exec(s.nicKernelTrigger())
+// go-back-N session. It reports whether the send parked; at the path's
+// end it hands pc back to step.
+func (sd *sender) stepInter(x smp.Runner) bool {
+	s := sd.ep.stack
+	opts := &s.Opts
+	total := len(sd.data)
+	for {
+		switch sd.pc {
+		case sInterRegister:
+			s.chanEvent(trace.KindSend, sd.ch, sd.msgID, "send %dB internode, push %dB", total, sd.btp)
+			sd.register(&sendOp{ch: sd.ch, msgID: sd.msgID, tag: sd.o.Tag, addr: sd.addr, data: sd.data, pushed: sd.btp, start: x.Now()})
+			// Push phase. Fragment the pushed bytes: BTP(1)+BTP(2) when
+			// overlapping, one run otherwise; each run is further split
+			// at the MTU. Push-All PIO-copies only its first fragment;
+			// the rest DMA from host memory and therefore need the
+			// translation first.
+			sd.nruns = copy(sd.runs[:], pushRuns(*opts, sd.btp, total))
+			sd.pio = sd.btp
+			if opts.Mode == PushAll {
+				sd.pio = min(sd.pio, MaxFragData)
 			}
-			sess.send(laneEager, ann.wireBytes(), ann)
-			continue
-		}
-		for run > 0 {
-			n := run
-			if n > MaxFragData {
-				n = MaxFragData
+			sd.translated = total == 0 // nothing to translate for an empty message
+			sd.pc = sPushRun
+			if !opts.MaskTranslation && total > 0 && sd.translate(x) {
+				// Unmasked: find out physical addresses before any
+				// transmission.
+				return true
 			}
-			frag := fragMsg{
-				ch:        ch,
-				msgID:     msgID,
-				tag:       so.Tag,
-				laneSeq:   laneSeq,
-				offset:    off,
-				data:      data[off : off+n],
+			fallthrough
+		case sPushRun:
+			if sd.run == sd.nruns {
+				sd.pc = sPushTail
+				continue
+			}
+			sd.left = sd.runs[sd.run]
+			sd.run++
+			if sd.left == 0 {
+				// Empty first run: transmit a bare announcement so the
+				// pull request is triggered as early as possible.
+				sd.frag = fragMsg{ch: sd.ch, msgID: sd.msgID, tag: sd.o.Tag, laneSeq: sd.laneSeq, total: total, pushTotal: sd.btp, preloaded: true}
+				sd.pc = sPushAnn
+				if x.Exec(sd.trigger()) {
+					return true
+				}
+				continue
+			}
+			sd.pc = sPushFrag
+			fallthrough
+		case sPushFrag:
+			if sd.left == 0 {
+				sd.pc = sPushRun
+				continue
+			}
+			n := min(sd.left, MaxFragData)
+			sd.frag = fragMsg{
+				ch:        sd.ch,
+				msgID:     sd.msgID,
+				tag:       sd.o.Tag,
+				laneSeq:   sd.laneSeq,
+				offset:    sd.off,
+				data:      sd.data[sd.off : sd.off+n],
 				total:     total,
-				pushTotal: btp,
+				pushTotal: sd.btp,
 			}
-			if opts.UserTrigger && off < pioBudget {
-				// Copy into the mapped FIFO and ring the doorbell from
-				// user space.
-				t.PIO(frag.wireBytes())
-				t.Exec(s.nicTrigger())
-				frag.preloaded = true
-			} else if opts.UserTrigger {
-				// Descriptor queued through the mapped ring (Push-All's
-				// later fragments DMA from host memory).
-				t.Exec(s.nicTrigger())
-			} else {
-				// Kernel driver transmit path: per-frame descriptor and
+			if !opts.UserTrigger || sd.off >= sd.pio {
+				// A descriptor queued through the mapped ring
+				// (Push-All's later fragments DMA from host memory), or
+				// the kernel's transmit path: per-frame descriptor and
 				// ring work the user-level trigger eliminates.
-				t.Exec(s.nicKernelTrigger())
+				sd.pc = sPushTranslate
+				if x.Exec(sd.trigger()) {
+					return true
+				}
+				continue
 			}
-			if opts.Mode == PushAll && off+n > pioBudget && !translated {
-				// Push-All cannot push everything through the FIFO: the
-				// remaining fragments DMA from the user buffer, so the
-				// translation must happen now, hidden only by the first
-				// fragment's wire time.
-				translate()
+			// Copy into the mapped FIFO and ring the doorbell from user
+			// space.
+			sd.frag.preloaded = true
+			sd.pc = sPushDoorbell
+			if x.PIO(sd.frag.wireBytes()) {
+				return true
 			}
+			fallthrough
+		case sPushDoorbell:
+			sd.pc = sPushTranslate
+			if x.Exec(s.nicTrigger()) {
+				return true
+			}
+			fallthrough
+		case sPushTranslate:
+			// Push-All cannot push everything through the FIFO: the
+			// remaining fragments DMA from the user buffer, so the
+			// translation must happen now, hidden only by the first
+			// fragment's wire time.
+			sd.pc = sPushSend
+			if opts.Mode == PushAll && sd.off+len(sd.frag.data) > sd.pio && !sd.translated && sd.translate(x) {
+				return true
+			}
+			fallthrough
+		case sPushSend:
+			f := &sd.frag
+			n := len(f.data)
 			format := "push frag [%d:%d) preloaded=false"
-			if frag.preloaded {
+			if f.preloaded {
 				format = "push frag [%d:%d) preloaded=true"
 			}
-			s.chanEvent(trace.KindPush, ch, msgID, format, frag.offset, frag.offset+n)
-			sess.send(laneEager, frag.wireBytes(), frag)
-			off += n
-			run -= n
+			s.chanEvent(trace.KindPush, f.ch, f.msgID, format, f.offset, f.offset+n)
+			sd.sess.send(laneEager, f.wireBytes(), *f)
+			sd.off += n
+			sd.left -= n
+			sd.pc = sPushFrag
+		case sPushAnn:
+			sd.sess.send(laneEager, sd.frag.wireBytes(), sd.frag)
+			sd.pc = sPushRun
+		case sPushTail:
+			if sd.btp != 0 {
+				sd.pc = sInterTranslate
+				continue
+			}
+			// Pushing nothing (Push-Zero, a zero-length message, or
+			// Push-Pull swept down to BTP=0): the push phase transfers
+			// no data, but the announcement frame still occupies the
+			// wire (the paper's point about Push-Zero wasting bandwidth
+			// in the early-receiver test).
+			sd.frag = fragMsg{ch: sd.ch, msgID: sd.msgID, tag: sd.o.Tag, laneSeq: sd.laneSeq, total: total, pushTotal: 0, preloaded: true}
+			sd.pc = sPushTailAnn
+			if x.Exec(sd.trigger()) {
+				return true
+			}
+			fallthrough
+		case sPushTailAnn:
+			sd.sess.send(laneEager, sd.frag.wireBytes(), sd.frag)
+			sd.pc = sInterTranslate
+			fallthrough
+		case sInterTranslate:
+			// Masked: translation happens after transmission was
+			// initiated, overlapping the wire time of the pushed
+			// fragments.
+			sd.pc = sInterFinish
+			if !sd.translated && sd.translate(x) {
+				return true
+			}
+			fallthrough
+		case sInterFinish:
+			if sd.btp == total {
+				// Fully pushed (or zero-length): nothing to pull; the
+				// send op is complete.
+				s.finishSend(sd.ep, sd.op)
+			}
+			sd.pc = sDone
+			if !opts.UserTrigger {
+				sd.pc = sExit
+			}
+			return false
 		}
 	}
-	if btp == 0 {
-		// Pushing nothing (Push-Zero, a zero-length message, or Push-Pull
-		// swept down to BTP=0): the push phase transfers no data, but the
-		// announcement frame still occupies the wire (the paper's point
-		// about Push-Zero wasting bandwidth in the early-receiver test).
-		ann := fragMsg{ch: ch, msgID: msgID, tag: so.Tag, laneSeq: laneSeq, total: total, pushTotal: 0, preloaded: true}
-		if opts.UserTrigger {
-			t.Exec(s.nicTrigger())
-		} else {
-			t.Exec(s.nicKernelTrigger())
-		}
-		sess.send(laneEager, ann.wireBytes(), ann)
-	}
+}
 
-	if !translated {
-		// Masked: translation happens after transmission was initiated,
-		// overlapping the wire time of the pushed fragments.
-		translate()
+// trigger is the cost of handing one frame to the NIC on the send path:
+// the user-level doorbell, or the kernel's transmit path.
+func (sd *sender) trigger() sim.Duration {
+	if sd.ep.stack.Opts.UserTrigger {
+		return sd.ep.stack.nicTrigger()
 	}
+	return sd.ep.stack.nicKernelTrigger()
+}
 
-	if btp == total {
-		// Fully pushed (or zero-length): nothing to pull; the send op is
-		// complete.
-		s.finishSend(ep, op)
-	}
-	if !opts.UserTrigger {
-		t.Exec(cfg.SyscallExit)
-	}
+// translate pays the source translation. The pull phase DMAs from the
+// source buffer, so it may not start before the translation is done.
+func (sd *sender) translate(x smp.Runner) bool {
+	sd.translated = true
+	cost := sd.ep.Space.TranslateCost(sd.addr, len(sd.data))
+	sd.op.srcReadyAt = x.Now().Add(cost)
+	return x.Exec(cost)
 }
 
 // pushRuns reports the eager transmission runs for btp pushed bytes of a
@@ -224,16 +254,9 @@ func (s *Stack) parkFrag(ep *Endpoint, m *inboundMsg, f fragMsg) bool {
 	return true
 }
 
-// sendPullReq transmits the acknowledgement-cum-pull-request for m from
-// the receiving thread, on the channel's own control lane. The receive
-// handler does the same from a task (rxHandler).
-func (s *Stack) sendPullReq(t *smp.Thread, m *inboundMsg) {
-	t.Exec(s.Node.Cfg.QueueOp)
-	t.Exec(s.nicKernelTrigger())
-	s.postPullReq(m)
-}
-
-// postPullReq sends m's pull request once its costs are paid.
+// postPullReq sends m's acknowledgement-cum-pull-request on the
+// channel's own control lane, once the receive side has paid its costs
+// (a QueueOp and a kernel NIC trigger, on the receive or its handler).
 func (s *Stack) postPullReq(m *inboundMsg) {
 	s.chanEvent(trace.KindPullReq, m.ch, m.msgID, "pull request (ack) for [%d:%d), %d dropped ranges", m.pushTotal, m.total, len(m.dropped))
 	req := pullReqMsg{ch: m.ch, msgID: m.msgID, fromOffset: m.pushTotal, redo: m.dropped}

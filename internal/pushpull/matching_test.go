@@ -43,8 +43,8 @@ func TestOversizedReceiveFailsWithoutConsuming(t *testing.T) {
 
 	op1 := newOp(e, 500) // too small for A
 	op2 := newOp(e, 5000)
-	ep.register(nil, op1)
-	ep.register(nil, op2)
+	ep.register(op1)
+	ep.register(op2)
 
 	a := newMsg(ep, 0, 4000)
 	ep.addInbound(a)
@@ -62,14 +62,14 @@ func TestOversizedReceiveFailsWithoutConsuming(t *testing.T) {
 	b := newMsg(ep, 1, 100)
 	ep.addInbound(b)
 	op3 := newOp(e, 5000)
-	ep.register(nil, op3)
+	ep.register(op3)
 	if op3.msg != b {
 		t.Fatal("lane did not advance to message B after the failure")
 	}
 	c := newMsg(ep, 2, 100)
 	ep.addInbound(c)
 	op4 := newOp(e, 5000)
-	ep.register(nil, op4)
+	ep.register(op4)
 	if op4.msg != c {
 		t.Fatal("lane wedged: message C (laneSeq 2) not matchable")
 	}
@@ -83,7 +83,7 @@ func TestRetryAfterOversizedFailureBindsSameMessage(t *testing.T) {
 	a := newMsg(ep, 0, 4000)
 	ep.addInbound(a)
 	op1 := newOp(e, 500)
-	ep.register(nil, op1)
+	ep.register(op1)
 	if op1.err == nil || a.op != nil {
 		t.Fatal("undersized receive against a parked message did not fail cleanly")
 	}
@@ -91,7 +91,7 @@ func TestRetryAfterOversizedFailureBindsSameMessage(t *testing.T) {
 		t.Fatalf("lane counter advanced to %d by a failed receive", got)
 	}
 	retry := newOp(e, 4000)
-	ep.register(nil, retry)
+	ep.register(retry)
 	if retry.msg != a {
 		t.Fatal("retry with a big enough buffer did not bind the message")
 	}
@@ -103,8 +103,8 @@ func TestPendingReceivesResolveInPostingOrder(t *testing.T) {
 	e, ep := matchEndpoint()
 	op1 := newOp(e, 5000)
 	op2 := newOp(e, 5000)
-	ep.register(nil, op1)
-	ep.register(nil, op2)
+	ep.register(op1)
+	ep.register(op2)
 	a := newMsg(ep, 0, 100)
 	b := newMsg(ep, 1, 100)
 	ep.addInbound(a)
@@ -124,7 +124,7 @@ func TestAnyTagSkipsReservedTags(t *testing.T) {
 
 	wild := newOp(e, 5000)
 	wild.tag = AnyTag
-	ep.register(nil, wild)
+	ep.register(wild)
 
 	resv := newMsg(ep, 0, 100)
 	resv.tag = ReservedTag + 3
@@ -136,7 +136,7 @@ func TestAnyTagSkipsReservedTags(t *testing.T) {
 	// The exact reserved tag binds it; the wildcard stays pending.
 	exact := newOp(e, 5000)
 	exact.tag = ReservedTag + 3
-	ep.register(nil, exact)
+	ep.register(exact)
 	if exact.msg != resv {
 		t.Fatal("exact reserved-tag receive did not bind the parked message")
 	}

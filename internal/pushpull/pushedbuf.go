@@ -7,7 +7,7 @@ import "pushpull/internal/sim"
 // the paper's Figure 1).
 //
 // Intranode it is byte-addressed: senders reserve exactly the bytes they
-// push, blocking while the buffer is full (the kernel throttles them, so
+// push, waiting while the buffer is full (the kernel throttles them, so
 // intranode pushes never overflow). Internode the kernel parks each
 // arriving fragment in a fixed PushedSlotBytes slot — so a 4 KB buffer
 // holds two fragments — and an arrival finding no free slot is refused,
@@ -29,11 +29,14 @@ func newPushedBuffer(e *sim.Engine, capBytes int) *pushedBuffer {
 	}
 }
 
-// reserveBytes blocks the calling process until n bytes fit, then takes
-// them (intranode path).
-func (b *pushedBuffer) reserveBytes(p *sim.Process, n int) {
-	b.space.WaitFor(p, func() bool { return b.usedBytes+n <= b.capBytes })
+// tryReserveBytes takes n intranode staging bytes if they fit. A sender
+// that finds no room waits on space and tries again.
+func (b *pushedBuffer) tryReserveBytes(n int) bool {
+	if b.usedBytes+n > b.capBytes {
+		return false
+	}
 	b.usedBytes += n
+	return true
 }
 
 // releaseBytes returns intranode staging bytes.

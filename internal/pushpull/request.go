@@ -11,12 +11,14 @@ import (
 //
 // The simulated library implements nonblocking operations the way a
 // user-level messaging library on a COMP node would: the operation runs
-// on a helper thread bound to the same CPU as the caller, so its protocol
-// costs are still charged to that processor, while the calling thread is
-// free to compute — the overlap the paper's §4.1 parallelism argument is
-// about, exposed at the API level.
+// on a helper bound to the same CPU as the caller, so its protocol costs
+// are still charged to that processor, while the calling thread is free
+// to compute — the overlap the paper's §4.1 parallelism argument is
+// about, exposed at the API level. The helper is a pooled user task
+// (smp.Node.StartTask) running the same send or receive step machine a
+// blocking call drives on its own thread.
 type Request struct {
-	done     *sim.Cond
+	done     sim.Cond
 	complete bool
 	data     []byte
 	status   Status
@@ -63,7 +65,7 @@ func (ep *Endpoint) IrecvOpt(t *smp.Thread, from ProcessID, addr vm.VirtAddr, bu
 }
 
 // IsendAsyncOpt is IsendOpt with no posting thread: the whole operation,
-// including the posting cost, runs on the helper thread. It exists for
+// including the posting cost, runs on the helper task. It exists for
 // infrastructure that posts operations from engine context (the
 // collective progression tasklet); application code, which always has a
 // calling thread, should use IsendOpt so the posting cost lands on the
@@ -77,27 +79,24 @@ func (ep *Endpoint) IrecvAsyncOpt(from ProcessID, addr vm.VirtAddr, bufLen int, 
 	return ep.irecv(ep.stack.Node.Cfg.CallOverhead, from, addr, bufLen, o)
 }
 
-// isend runs a send on a helper thread, which first pays post: the
-// posting cost when no calling thread paid it.
+// isend runs a send on a helper task, which first pays post: the
+// posting cost when no calling thread paid it. Starting the task takes
+// one dispatch slot at the current instant, as Engine.Go does.
 func (ep *Endpoint) isend(post sim.Duration, to ProcessID, addr vm.VirtAddr, data []byte, o SendOptions) *Request {
-	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
-	ep.stack.Node.Spawn("isend", ep.CPU, func(ht *smp.Thread) {
-		ht.Exec(post)
-		err := ep.SendOpt(ht, to, addr, data, o)
-		req.finish(nil, Status{Source: ep.ID, Tag: o.Tag, Valid: true}, err)
-	})
+	s := ep.stack.newSender(ep, post, to, addr, data, o)
+	req := &Request{}
+	s.req = req
+	ep.stack.Node.StartTask(ep.CPU, s.taskFn)
 	return req
 }
 
-// irecv runs a receive on a helper thread, which first pays post (see
+// irecv runs a receive on a helper task, which first pays post (see
 // isend).
 func (ep *Endpoint) irecv(post sim.Duration, from ProcessID, addr vm.VirtAddr, bufLen int, o RecvOptions) *Request {
-	req := &Request{done: sim.NewCond(ep.stack.Node.Engine)}
-	ep.stack.Node.Spawn("irecv", ep.CPU, func(ht *smp.Thread) {
-		ht.Exec(post)
-		b, st, err := ep.RecvOpt(ht, from, addr, bufLen, o)
-		req.finish(b, st, err)
-	})
+	r := ep.stack.newReceiver(ep, post, from, addr, bufLen, o)
+	req := &Request{}
+	r.req = req
+	ep.stack.Node.StartTask(ep.CPU, r.taskFn)
 	return req
 }
 

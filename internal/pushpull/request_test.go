@@ -129,7 +129,7 @@ func TestTestPollsWithoutBlocking(t *testing.T) {
 }
 
 // Two Irecvs posted back to back bind the channel's messages in posting
-// order even though they complete through helper threads.
+// order even though they complete through helper tasks.
 func TestIrecvPostingOrderIsFIFO(t *testing.T) {
 	c := internodeCluster(pushpull.DefaultOptions())
 	sender := c.Endpoint(0, 0)

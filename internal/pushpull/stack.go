@@ -70,6 +70,12 @@ type Stack struct {
 	// Adapter, when set, chooses the internode PushPull BTP per message
 	// and receives pull-request feedback (see BTPAdapter).
 	Adapter BTPAdapter
+
+	// freeSenders, freeReceivers and freePullers recycle the step
+	// machines of finished sends, receives and intranode pulls.
+	freeSenders   []*sender
+	freeReceivers []*receiver
+	freePullers   []*puller
 }
 
 // NewStack builds the messaging layer for node n. It panics on invalid

@@ -45,12 +45,10 @@ type InterruptController struct {
 	asymTarget int
 	pollCPU    int
 	raised     uint64
-	// free recycles the per-interrupt records of the process path, and
-	// freeTasks the handler tasks of the tasklet path, so a raise on a
-	// warm controller allocates nothing but, on the process path, the
-	// handler's sim.Process.
-	free      []*irqJob
-	freeTasks []*Task
+	// free recycles the per-interrupt records of the process path, so a
+	// raise on a warm controller allocates nothing but the handler's
+	// sim.Process (the tasklet path's tasks are pooled on the node).
+	free []*irqJob
 }
 
 func newInterruptController(n *Node) *InterruptController {
@@ -80,27 +78,14 @@ func (ic *InterruptController) Raised() uint64 { return ic.raised }
 // time.
 //
 // RaiseTask only schedules, so it may be called from any engine-context
-// code. Handler tasks are pooled: one is made only when every earlier
-// one is still running a handler.
-func (ic *InterruptController) RaiseTask(name string, body func(t *Task) bool) {
+// code. Handler tasks come from the node's task pool.
+func (ic *InterruptController) RaiseTask(body func(t *Task) bool) {
 	cpu, wait, cost := ic.route()
-	var t *Task
-	if n := len(ic.freeTasks); n > 0 {
-		t = ic.freeTasks[n-1]
-		ic.freeTasks[n-1] = nil
-		ic.freeTasks = ic.freeTasks[:n-1]
-	} else {
-		t = &Task{Node: ic.node, ic: ic}
-		t.tk = ic.node.Engine.NewTasklet(name, t.run)
+	exit := ic.node.Cfg.InterruptExit
+	if ic.policy == Polling {
+		exit = 0
 	}
-	t.CPU, t.cost, t.body, t.stage = cpu, cost, body, taskDispatch
-	// Start and Sleep take the same dispatch slot as the process path's
-	// GoAt(wait).
-	if wait > 0 {
-		t.tk.Sleep(wait)
-	} else {
-		t.tk.Start()
-	}
+	ic.node.startTask(cpu, wait, cost, exit, true, body)
 }
 
 // Raise is RaiseTask on the process tier: handler runs on a process named

@@ -126,6 +126,9 @@ type Node struct {
 	Copier *mem.Copier
 	Frames *vm.FrameAllocator
 	IRQ    *InterruptController
+	// freeTasks recycles the tasks of finished task bodies (see
+	// startTask), so starting one on a warm node allocates nothing.
+	freeTasks []*Task
 }
 
 // NewNode builds a node with the given id and configuration.

@@ -84,7 +84,7 @@ func runTier(policy Policy, task, contend, probed bool) tierRun {
 	}
 	e.Schedule(3*sim.Microsecond, func() {
 		if task {
-			n.IRQ.RaiseTask("rx", taskHandler(&r.bodyEnd))
+			n.IRQ.RaiseTask(taskHandler(&r.bodyEnd))
 		} else {
 			n.IRQ.Raise("rx", threadHandler(&r.bodyEnd))
 		}
@@ -167,7 +167,7 @@ func TestTaskDeliveryCosts(t *testing.T) {
 	}
 }
 
-// TestHandlerTasksArePooled: a handler task goes back to the controller
+// TestHandlerTasksArePooled: a handler task goes back to the node's pool
 // once its handler is done, so raising one handler after another reuses
 // a single task.
 func TestHandlerTasksArePooled(t *testing.T) {
@@ -175,13 +175,62 @@ func TestHandlerTasksArePooled(t *testing.T) {
 	n := newNode(e)
 	var end sim.Time
 	for i := 0; i < 5; i++ {
-		e.Schedule(sim.Duration(i)*100*sim.Microsecond, func() { n.IRQ.RaiseTask("rx", taskHandler(&end)) })
+		e.Schedule(sim.Duration(i)*100*sim.Microsecond, func() { n.IRQ.RaiseTask(taskHandler(&end)) })
 	}
 	e.Run()
-	if got := len(n.IRQ.freeTasks); got != 1 {
+	if got := len(n.freeTasks); got != 1 {
 		t.Fatalf("%d pooled handler tasks after 5 sequential handlers, want 1", got)
 	}
 	if n.IRQ.Raised() != 5 {
 		t.Fatalf("raised %d handlers, want 5", n.IRQ.Raised())
+	}
+}
+
+// TestTaskStolenTime: a user task's time is charged to its CPU but not
+// stolen, so a computation there is not stretched by it, while a kernel
+// task's time, its dispatch cost included, is stolen and the
+// computation absorbs it. Both run handlerProgram on the computing CPU.
+func TestTaskStolenTime(t *testing.T) {
+	cfg := DefaultConfig()
+	body := progExec1 + newNode(sim.NewEngine(1)).copyCost(progCopy, false) + progExec2
+	alone := cfg.Mem.Cycles(10_000)
+	for _, tc := range []struct {
+		name         string
+		kernel       bool
+		work, stolen sim.Duration
+	}{
+		{"user", false, body, 0},
+		{"kernel", true, cfg.KThreadDispatch + body, cfg.KThreadDispatch + body},
+	} {
+		e := sim.NewEngine(1)
+		n := newNode(e)
+		var computed, bodyEnd sim.Time
+		n.Spawn("app", 1, func(th *Thread) {
+			th.Compute(10_000)
+			computed = th.Now()
+		})
+		e.Schedule(3*sim.Microsecond, func() {
+			if tc.kernel {
+				n.StartKernelTask(n.CPUs[1], taskHandler(&bodyEnd))
+			} else {
+				n.StartTask(1, taskHandler(&bodyEnd))
+			}
+		})
+		e.Run()
+		if want := sim.Time(3*sim.Microsecond + tc.work); bodyEnd != want {
+			t.Errorf("%s task: the body ends at %v, want %v", tc.name, bodyEnd, want)
+		}
+		if got := n.CPUs[1].StolenTime(); got != tc.stolen {
+			t.Errorf("%s task: %v stolen from its CPU, want %v", tc.name, got, tc.stolen)
+		}
+		if got, want := n.CPUs[1].BusyTime(), alone+tc.work; got != want {
+			t.Errorf("%s task: CPU busy for %v, want %v", tc.name, got, want)
+		}
+		if want := sim.Time(alone + tc.stolen); computed != want {
+			t.Errorf("%s task: the computation ends at %v, want %v", tc.name, computed, want)
+		}
+		if len(n.freeTasks) != 1 {
+			t.Errorf("%s task: %d tasks back in the pool, want 1", tc.name, len(n.freeTasks))
+		}
 	}
 }

@@ -101,13 +101,19 @@ func (t *Thread) SignalCost(target *Processor) sim.Duration {
 	return t.Node.signalCost(t.CPU, target)
 }
 
-// SpawnKernel starts a kernel worker thread on cpu whose execution time
-// is stolen from computations there (handler semantics), charging the
-// dispatch cost before body runs.
-func (n *Node) SpawnKernel(name string, cpu *Processor, body func(t *Thread)) {
-	n.Engine.Go(name, func(p *sim.Process) {
-		t := &Thread{P: p, Node: n, CPU: cpu, handler: true}
-		t.Exec(n.Cfg.KThreadDispatch)
-		body(t)
-	})
+// Blocking returns t as a Runner whose operations block the thread in
+// place: each returns only once it is over, and reports false. A step
+// body driven through it runs to completion in one call.
+func (t *Thread) Blocking() Runner { return (*blocking)(t) }
+
+// blocking is a Thread seen as a Runner.
+type blocking Thread
+
+func (b *blocking) Now() sim.Time              { return b.P.Now() }
+func (b *blocking) Exec(d sim.Duration) bool   { (*Thread)(b).Exec(d); return false }
+func (b *blocking) Copy(n int, cold bool) bool { (*Thread)(b).Copy(n, cold); return false }
+func (b *blocking) PIO(n int) bool             { (*Thread)(b).PIO(n); return false }
+func (b *blocking) Wait(c *sim.Cond) bool      { c.Wait(b.P); return false }
+func (b *blocking) SignalCost(target *Processor) sim.Duration {
+	return (*Thread)(b).SignalCost(target)
 }
